@@ -1,7 +1,7 @@
 """Matrix Mittag-Leffler distributions: special functions, phase-type
 structure, sampling, semi-Markov simulation, and likelihood fitting."""
 
-from .mlfun import MLParams, SpectralForm, ml_deriv, ml_eval, ml_matrix, spectral_form
+from .mlfun import MLParams, ml_deriv, ml_eval, ml_matrix
 from .phasetype import (
     PHGenerator,
     make_coxian,
@@ -60,8 +60,7 @@ from .errors import EvaluationError, ValidationError
 __version__ = "0.1.0"
 
 __all__ = [
-    "MLParams", "SpectralForm", "ml_eval", "ml_deriv", "ml_matrix",
-    "spectral_form",
+    "MLParams", "ml_eval", "ml_deriv", "ml_matrix",
     "PHGenerator", "make_erlang", "make_mixture_erlang", "make_coxian",
     "make_general", "ph_pdf", "ph_cdf", "ph_frac_moment", "ph_sample",
     "MMLDist", "PMMLDist", "mml_pdf", "mml_logpdf", "mml_cdf", "mml_sf",

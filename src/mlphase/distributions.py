@@ -32,7 +32,7 @@ from scipy.special import gammaln, logsumexp, rgamma
 from scipy.special import gamma as sc_gamma
 
 from .errors import ValidationError
-from .mlfun import MLParams, _ml_deriv_vec, _ml_vec, ml_matrix
+from .mlfun import MLParams, _eigenbasis, _ml_deriv_vec, _ml_vec, ml_matrix
 from .phasetype import (
     COXIAN,
     ERLANG,
@@ -228,7 +228,7 @@ def _coxian_logpdf(alpha, pi, rates, nu, x, tol):
         if A[m] == 0.0:
             continue
         w = _power_arg(x, c, lam[m])
-        acc += A[m] * _ml_vec(alpha, alpha, -w.astype(complex), tol).real
+        acc += A[m] * _ml_vec(alpha, alpha, -w.astype(complex), 0, tol).real
     acc = np.maximum(acc, 0.0)
     with np.errstate(divide="ignore"):
         return math.log(nu) + (c - 1.0) * np.log(x) + np.log(acc)
@@ -243,7 +243,7 @@ def _coxian_logsf(alpha, pi, rates, nu, x, tol):
         if D[m] == 0.0:
             continue
         w = _power_arg(x, c, lam[m])
-        acc += D[m] * _ml_vec(alpha, 1.0, -w.astype(complex), tol).real
+        acc += D[m] * _ml_vec(alpha, 1.0, -w.astype(complex), 0, tol).real
     acc = np.clip(acc, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         return np.log(acc)
@@ -251,11 +251,10 @@ def _coxian_logsf(alpha, pi, rates, nu, x, tol):
 
 def _spectral_weights(ph):
     """(eigenvalues, pdf weights, survival weights) or None."""
-    w, V = np.linalg.eig(ph.T)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > 1e8:
+    eb = _eigenbasis(ph.T)
+    if eb is None:
         return None
-    Vinv = np.linalg.inv(V)
+    w, V, Vinv = eb
     left = ph.pi @ V
     a = left * (Vinv @ ph.exit_vector)
     b = left * (Vinv @ np.ones(ph.dim))
@@ -269,7 +268,7 @@ def _general_logpdf(alpha, ph, nu, x, tol):
     if spec is not None:
         eig, a, _ = spec
         args = (eig[None, :] * w[:, None]).reshape(-1)
-        vals = _ml_vec(alpha, alpha, args, tol).reshape(len(x), -1)
+        vals = _ml_vec(alpha, alpha, args, 0, tol).reshape(len(x), -1)
         dens = (vals @ a).real
     else:
         params = MLParams(alpha=alpha, beta=alpha, accuracy_target=tol)
@@ -288,7 +287,7 @@ def _general_logsf(alpha, ph, nu, x, tol):
     if spec is not None:
         eig, _, b = spec
         args = (eig[None, :] * w[:, None]).reshape(-1)
-        vals = _ml_vec(alpha, 1.0, args, tol).reshape(len(x), -1)
+        vals = _ml_vec(alpha, 1.0, args, 0, tol).reshape(len(x), -1)
         sf = (vals @ b).real
     else:
         params = MLParams(alpha=alpha, beta=1.0, accuracy_target=tol)
@@ -329,17 +328,18 @@ def _dispatch_logsf(alpha, ph, nu, x, tol):
 
 
 # ---------------------------------------------------------------------------
-# public MML surface
+# public MML / PMML surface (nu = 1 for an MMLDist)
 
-def mml_pdf(d: MMLDist, x):
-    """Density x^{alpha-1} pi E_{alpha,alpha}(T x^alpha) t for x > 0."""
+def mml_pdf(d: MMLDist | PMMLDist, x):
+    """Density nu x^{nu alpha - 1} pi E_{alpha,alpha}(T x^{nu alpha}) t
+    for x > 0."""
     alpha, ph, nu = _unpack(d)
     xs, scalar = _check_x(x, allow_zero=False)
     out = np.exp(_dispatch_logpdf(alpha, ph, nu, xs, _TOL))
     return _ret(out, scalar)
 
 
-def mml_logpdf(d: MMLDist, x):
+def mml_logpdf(d: MMLDist | PMMLDist, x):
     """log of mml_pdf, computed without underflow for extreme x."""
     alpha, ph, nu = _unpack(d)
     xs, scalar = _check_x(x, allow_zero=False)
@@ -347,8 +347,8 @@ def mml_logpdf(d: MMLDist, x):
     return _ret(out, scalar)
 
 
-def mml_sf(d: MMLDist, x):
-    """Survival pi E_{alpha,1}(T x^alpha) 1, evaluated directly."""
+def mml_sf(d: MMLDist | PMMLDist, x):
+    """Survival pi E_{alpha,1}(T x^{nu alpha}) 1, evaluated directly."""
     alpha, ph, nu = _unpack(d)
     xs, scalar = _check_x(x, allow_zero=True)
     out = np.ones_like(xs)
@@ -358,7 +358,7 @@ def mml_sf(d: MMLDist, x):
     return _ret(out, scalar)
 
 
-def mml_logsf(d: MMLDist, x):
+def mml_logsf(d: MMLDist | PMMLDist, x):
     """log survival function, exact deep into the tail."""
     alpha, ph, nu = _unpack(d)
     xs, scalar = _check_x(x, allow_zero=True)
@@ -369,8 +369,9 @@ def mml_logsf(d: MMLDist, x):
     return _ret(out, scalar)
 
 
-def mml_cdf(d: MMLDist, x):
-    """Distribution function 1 - pi E_{alpha,1}(T x^alpha) 1 for x >= 0."""
+def mml_cdf(d: MMLDist | PMMLDist, x):
+    """Distribution function 1 - pi E_{alpha,1}(T x^{nu alpha}) 1 for
+    x >= 0."""
     alpha, ph, nu = _unpack(d)
     xs, scalar = _check_x(x, allow_zero=True)
     out = np.zeros_like(xs)
@@ -416,37 +417,12 @@ def mml_frac_moment(d: MMLDist, rho: float) -> float:
             * ph_part)
 
 
-# ---------------------------------------------------------------------------
-# public PMML surface
-
-def pmml_pdf(d: PMMLDist, x):
-    """Density nu x^{nu alpha - 1} pi E_{alpha,alpha}(T x^{nu alpha}) t."""
-    alpha, ph, nu = _unpack(d)
-    xs, scalar = _check_x(x, allow_zero=False)
-    out = np.exp(_dispatch_logpdf(alpha, ph, nu, xs, _TOL))
-    return _ret(out, scalar)
-
-
-def pmml_logpdf(d: PMMLDist, x):
-    """log of pmml_pdf through the scaled evaluation path."""
-    alpha, ph, nu = _unpack(d)
-    xs, scalar = _check_x(x, allow_zero=False)
-    out = _dispatch_logpdf(alpha, ph, nu, xs, _TOL)
-    return _ret(out, scalar)
-
-
-def pmml_sf(d: PMMLDist, x):
-    """Survival of the power transform, evaluated directly."""
-    return mml_sf(d, x)
-
-
-def pmml_logsf(d: PMMLDist, x):
-    return mml_logsf(d, x)
-
-
-def pmml_cdf(d: PMMLDist, x):
-    """Distribution function of the power transform."""
-    return mml_cdf(d, x)
+# the PMML surface is the MML one: _unpack serves both laws
+pmml_pdf = mml_pdf
+pmml_logpdf = mml_logpdf
+pmml_sf = mml_sf
+pmml_logsf = mml_logsf
+pmml_cdf = mml_cdf
 
 
 # ---------------------------------------------------------------------------

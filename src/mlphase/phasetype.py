@@ -16,6 +16,7 @@ from scipy.linalg import expm
 from scipy.special import gamma as sc_gamma
 
 from .errors import EvaluationError, ValidationError
+from .mlfun import _eigenbasis
 
 #: structure tags
 ERLANG = "erlang"
@@ -62,11 +63,6 @@ class PHGenerator:
     @property
     def exit_vector(self) -> np.ndarray:
         """Exit rate vector t = -T 1."""
-        return -self.T.sum(axis=1)
-
-    @property
-    def t(self) -> np.ndarray:
-        """Exit rate vector t = -T 1 (alias of exit_vector)."""
         return -self.T.sum(axis=1)
 
     def as_general(self) -> "PHGenerator":
@@ -197,7 +193,6 @@ def make_mixture_erlang(weights, shapes, rates) -> PHGenerator:
     pi = np.zeros(p)
     pos = 0
     for w, s, r in zip(weights, shapes, rates):
-        blk = slice(pos, pos + s)
         idx = np.arange(pos, pos + s)
         T[idx, idx] = -r
         T[idx[:-1], idx[:-1] + 1] = r
@@ -295,12 +290,12 @@ def _neg_T_power(gen: PHGenerator, a: float) -> np.ndarray:
         for _ in range(int(a)):
             out = np.linalg.solve(negT, out)
         return out
-    w, V = np.linalg.eig(negT)
-    cond = np.linalg.cond(V)
-    if np.isfinite(cond) and cond < 1e8:
+    eb = _eigenbasis(negT)
+    if eb is not None:
         # -T has eigenvalues in the right half-plane, so the principal
         # power is well defined
-        P = V @ np.diag(w.astype(complex) ** (-a)) @ np.linalg.inv(V)
+        w, V, Vinv = eb
+        P = V @ np.diag(w.astype(complex) ** (-a)) @ Vinv
         if np.abs(P.imag).max() > 1e-10 * (np.abs(P).max() + 1.0):
             raise EvaluationError("matrix power has an imaginary residue")
         return P.real

@@ -61,19 +61,3 @@ class RandomStream:
     def child(self, index: int) -> "RandomStream":
         """Single child stream at a given index of the split tree."""
         return RandomStream(self.seed, self.spawn_key + (int(index),))
-
-    # convenience passthroughs
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.generator.uniform(low, high, size)
-
-    def exponential(self, scale=1.0, size=None):
-        return self.generator.exponential(scale, size)
-
-    def standard_normal(self, size=None):
-        return self.generator.standard_normal(size)
-
-    def gamma(self, shape, scale=1.0, size=None):
-        return self.generator.gamma(shape, scale, size)
-
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size)

@@ -74,6 +74,6 @@ def ph_to_sm_spec(gen: PHGenerator, alpha: float) -> SemiMarkovSpec:
         for j in range(p):
             if i != j:
                 Q[i, j] = gen.T[i, j] / rates[i]
-        Q[i, p] = gen.t[i] / rates[i]
+        Q[i, p] = gen.exit_vector[i] / rates[i]
     Q[p, p] = 1.0
     return SemiMarkovSpec(Q=Q, rates=rates, alpha=alpha, pi=gen.pi.copy())

@@ -240,6 +240,13 @@ def test_pmml_tail_slope():
 # power transform
 
 
+def test_pmml_surface_is_mml_surface():
+    import mlphase
+
+    for name in ("pdf", "logpdf", "sf", "logsf", "cdf"):
+        assert getattr(mlphase, f"pmml_{name}") is getattr(mlphase, f"mml_{name}")
+
+
 def test_pmml_identity_nu_one():
     base = MMLDist(0.7, make_erlang(2, 1.5))
     d = PMMLDist(base, 1.0)

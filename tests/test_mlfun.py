@@ -14,7 +14,6 @@ from mlphase import (
     ml_deriv,
     ml_eval,
     ml_matrix,
-    spectral_form,
 )
 from mlphase.mlfun import _asymp_threshold
 
@@ -164,6 +163,18 @@ def test_high_order_derivative_against_series():
     assert _rel(got, ref) < 1e-11
 
 
+@pytest.mark.parametrize("alpha", [0.9, 0.99])
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_offpole_contour_high_order(alpha, k):
+    # negative axis just outside the series disc and below the asymptotic
+    # threshold: the powered-denominator contour near alpha = 1
+    from oracles import ml_ref_real
+
+    params = MLParams(alpha, 1.0)
+    for z in (-1.02, -1.2, -1.7, -3.0):
+        assert _rel(ml_deriv(params, z, k), ml_ref_real(alpha, 1.0, z, k)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # matrix argument
 
@@ -265,19 +276,6 @@ def test_matrix_generator_argument():
             ]
         )
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-9
-
-
-def test_spectral_form_reconstruct():
-    rng = np.random.default_rng(3)
-    A = rng.uniform(-1.0, 1.0, (4, 4))
-    sf = spectral_form(A)
-    assert sf.block_sizes == (1, 1, 1, 1)
-    assert np.max(np.abs(sf.reconstruct().real - A)) < 1e-10
-
-    J = np.array([[-1.0, 0.5, 0.0], [0.0, -1.0, 0.5], [0.0, 0.0, -1.0]])
-    sfj = spectral_form(J)
-    assert sfj.block_sizes == (3,)
-    assert np.max(np.abs(sfj.reconstruct().real - J)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ def test_stable_alpha_one_is_degenerate():
     s = sample_positive_stable(1.0, rng, size=4)
     assert np.array_equal(s, np.ones(4))
     # the degenerate branch must not consume randomness
-    follow = rng.uniform()
-    assert follow == RandomStream(1).uniform()
+    follow = rng.generator.uniform()
+    assert follow == RandomStream(1).generator.uniform()
 
 
 def test_stable_laplace_transform():
