@@ -146,43 +146,54 @@ def _ret(vals, scalar):
 # c = nu * alpha applied to x inside E, and returns log f (density cores
 # include the nu x^{nu alpha - 1} prefactor) or log S.
 
-def _erlang_logpdf(alpha, p, lam, nu, x, tol):
+def _erlang_logpdf(alpha, p, rates, nu, x, tol):
+    """Erlang(p, lam) log-densities, one row per lam in rates, from one
+    scalar-ML call over every rate."""
     c = nu * alpha
-    w = _power_arg(x, c, lam)
+    w = np.concatenate([_power_arg(x, c, lam) for lam in rates])
     ds = _ml_deriv_vec(alpha, alpha, -w.astype(complex), p - 1, tol).real
-    ds = np.maximum(ds, 0.0)
+    ds = np.maximum(ds, 0.0).reshape(len(rates), len(x))
     with np.errstate(divide="ignore"):
-        return (math.log(nu) + p * math.log(lam) - gammaln(p)
-                + (c * p - 1.0) * np.log(x) + np.log(ds))
+        logx = (c * p - 1.0) * np.log(x)
+        return np.array([math.log(nu) + p * math.log(lam) - gammaln(p)
+                         + logx + np.log(d) for lam, d in zip(rates, ds)])
 
 
-def _erlang_logsf(alpha, p, lam, nu, x, tol):
+def _erlang_logsf(alpha, shapes, rates, nu, x, tol):
+    """Erlang(p, lam) log-survivals, one row per (p, lam) block, from one
+    scalar-ML call per order s over every block with p > s."""
     c = nu * alpha
-    w = _power_arg(x, c, lam)
-    terms = np.empty((p, len(x)))
+    w = [_power_arg(x, c, lam) for lam in rates]
+    terms = [np.empty((p, len(x))) for p in shapes]
     with np.errstate(divide="ignore"):
-        logw = np.log(w)
-        for s in range(p):
-            es = _ml_deriv_vec(alpha, 1.0, -w.astype(complex), s, tol).real
-            es = np.maximum(es, 0.0)
-            if s == 0:
-                terms[s] = np.log(es)
-            else:
-                terms[s] = s * logw - gammaln(s + 1.0) + np.log(es)
-    return logsumexp(terms, axis=0)
+        logw = [np.log(wi) for wi in w]
+        for s in range(max(shapes)):
+            blocks = [i for i, p in enumerate(shapes) if p > s]
+            arg = -np.concatenate([w[i] for i in blocks]).astype(complex)
+            es = _ml_deriv_vec(alpha, 1.0, arg, s, tol).real
+            es = np.maximum(es, 0.0).reshape(len(blocks), len(x))
+            for i, e in zip(blocks, es):
+                if s == 0:
+                    terms[i][s] = np.log(e)
+                else:
+                    terms[i][s] = s * logw[i] - gammaln(s + 1.0) + np.log(e)
+    return np.array([logsumexp(t, axis=0) for t in terms])
 
 
 def _mixture_logpdf(alpha, weights, shapes, rates, nu, x, tol):
+    shapes = [int(p) for p in shapes]
+    rates = [float(lam) for lam in rates]
     comp = np.empty((len(weights), len(x)))
-    for i, (p, lam) in enumerate(zip(shapes, rates)):
-        comp[i] = _erlang_logpdf(alpha, int(p), float(lam), nu, x, tol)
+    for p in sorted(set(shapes)):
+        blocks = [i for i, q in enumerate(shapes) if q == p]
+        comp[blocks] = _erlang_logpdf(alpha, p, [rates[i] for i in blocks],
+                                      nu, x, tol)
     return logsumexp(comp, axis=0, b=np.asarray(weights)[:, None])
 
 
 def _mixture_logsf(alpha, weights, shapes, rates, nu, x, tol):
-    comp = np.empty((len(weights), len(x)))
-    for i, (p, lam) in enumerate(zip(shapes, rates)):
-        comp[i] = _erlang_logsf(alpha, int(p), float(lam), nu, x, tol)
+    comp = _erlang_logsf(alpha, [int(p) for p in shapes],
+                         [float(lam) for lam in rates], nu, x, tol)
     return logsumexp(comp, axis=0, b=np.asarray(weights)[:, None])
 
 
@@ -219,17 +230,23 @@ def _coxian_coeffs(pi, rates):
     return A, D
 
 
+def _coxian_sum(alpha, beta, coef, rates, c, x, tol):
+    """sum_m coef_m E_{alpha,beta}(-lam_m x^c) over the nonzero coef_m, in
+    rate order, from one scalar-ML call over those rates."""
+    lam = np.asarray(rates, dtype=float)
+    used = np.nonzero(coef)[0]
+    w = np.concatenate([_power_arg(x, c, lam[m]) for m in used])
+    vals = _ml_vec(alpha, beta, -w.astype(complex), 0, tol).real
+    acc = np.zeros(len(x))
+    for m, v in zip(used, vals.reshape(len(used), len(x))):
+        acc += coef[m] * v
+    return acc
+
+
 def _coxian_logpdf(alpha, pi, rates, nu, x, tol):
     c = nu * alpha
     A, _ = _coxian_coeffs(pi, rates)
-    lam = np.asarray(rates, dtype=float)
-    acc = np.zeros(len(x))
-    for m in range(len(lam)):
-        if A[m] == 0.0:
-            continue
-        w = _power_arg(x, c, lam[m])
-        acc += A[m] * _ml_vec(alpha, alpha, -w.astype(complex), 0, tol).real
-    acc = np.maximum(acc, 0.0)
+    acc = np.maximum(_coxian_sum(alpha, alpha, A, rates, c, x, tol), 0.0)
     with np.errstate(divide="ignore"):
         return math.log(nu) + (c - 1.0) * np.log(x) + np.log(acc)
 
@@ -237,14 +254,7 @@ def _coxian_logpdf(alpha, pi, rates, nu, x, tol):
 def _coxian_logsf(alpha, pi, rates, nu, x, tol):
     c = nu * alpha
     _, D = _coxian_coeffs(pi, rates)
-    lam = np.asarray(rates, dtype=float)
-    acc = np.zeros(len(x))
-    for m in range(len(lam)):
-        if D[m] == 0.0:
-            continue
-        w = _power_arg(x, c, lam[m])
-        acc += D[m] * _ml_vec(alpha, 1.0, -w.astype(complex), 0, tol).real
-    acc = np.clip(acc, 0.0, 1.0)
+    acc = np.clip(_coxian_sum(alpha, 1.0, D, rates, c, x, tol), 0.0, 1.0)
     with np.errstate(divide="ignore"):
         return np.log(acc)
 
@@ -302,8 +312,8 @@ def _general_logsf(alpha, ph, nu, x, tol):
 def _dispatch_logpdf(alpha, ph, nu, x, tol):
     s = ph.structure
     if s == ERLANG:
-        return _erlang_logpdf(alpha, ph.params["shape"], ph.params["rate"],
-                              nu, x, tol)
+        return _erlang_logpdf(alpha, ph.params["shape"], [ph.params["rate"]],
+                              nu, x, tol)[0]
     if s == MIXTURE_ERLANG:
         return _mixture_logpdf(alpha, ph.params["weights"],
                                ph.params["shapes"], ph.params["rates"],
@@ -316,8 +326,8 @@ def _dispatch_logpdf(alpha, ph, nu, x, tol):
 def _dispatch_logsf(alpha, ph, nu, x, tol):
     s = ph.structure
     if s == ERLANG:
-        return _erlang_logsf(alpha, ph.params["shape"], ph.params["rate"],
-                             nu, x, tol)
+        return _erlang_logsf(alpha, [ph.params["shape"]], [ph.params["rate"]],
+                             nu, x, tol)[0]
     if s == MIXTURE_ERLANG:
         return _mixture_logsf(alpha, ph.params["weights"],
                               ph.params["shapes"], ph.params["rates"],

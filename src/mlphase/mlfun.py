@@ -6,8 +6,12 @@ The evaluator splits the complex plane into three regimes:
   tracking so a result is only accepted when float64 can support it;
 * an optimally truncated algebraic expansion in 1/z far from the origin,
   plus the exponential branch (1/alpha) z^{(1-beta)/alpha} exp(z^{1/alpha})
-  when |arg z| < alpha*pi; the expansion self-reports its attainable error
-  and is only accepted when that beats the accuracy target;
+  when |arg z| < alpha*pi. The terms are summed as a table, a block of 32
+  for every point and then blocks of twice the length for the points not
+  yet truncated, and each point is cut at its first converged term or at
+  its smallest term before three consecutive growing ones; the expansion
+  self-reports its attainable error and is only accepted when that beats
+  the accuracy target;
 * a parabolic Bromwich contour in between. The integrand
   exp(s) s^{alpha-beta} / (s^alpha - z) is sampled by the trapezoid rule on
   s(u) = mu (1+iu)^2; the single principal-sheet pole s* = z^{1/alpha}
@@ -121,8 +125,61 @@ _series_deriv_vec = _series_vec
 # asymptotic regime
 
 def _gamma_dip(g):
-    """True when g sits within rounding slop of a reciprocal-gamma pole."""
-    return g <= 0.5 and abs(g - round(g)) < 1e-8
+    """True where g sits within rounding slop of a reciprocal-gamma pole."""
+    return (g <= 0.5) & (np.abs(g - np.round(g)) < 1e-8)
+
+
+def _asymp_block(alpha, beta, zin, k, tol, nterms):
+    """Terms n = 1..nterms of the expansion at the points 1/zin.
+
+    Returns (snap, err, closed): closed[i] is False when point i neither
+    converged nor reached its optimal truncation within nterms terms; its
+    snap and err then describe the smallest term seen so far.
+    """
+    n = np.arange(1, nterms + 1, dtype=float)
+    g = beta - alpha * n
+    c = np.full(nterms, (-1.0) ** k)
+    for i in range(k):
+        c *= n + i
+    kept = ~_gamma_dip(g)
+    if not kept.any():
+        return (np.zeros(zin.size, dtype=complex), np.full(zin.size, np.inf),
+                np.zeros(zin.size, dtype=bool))
+    zp = np.empty((nterms, zin.size), dtype=complex)
+    zp[0] = zin ** (1 + k)
+    # repeated multiplies, not np.cumprod, which rounds complex products
+    # differently
+    for j in range(1, nterms):
+        np.multiply(zp[j - 1], zin, out=zp[j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (-c * rgamma(g))[:, None] * zp
+    # an underflowed power against an overflowed gamma reciprocal: the
+    # true magnitude is far below any target, so the term counts as zero
+    t[np.isnan(t)] = 0.0
+    # every term enters the sum; terms at a pole dip are left out of the
+    # truncation bookkeeping
+    accum = np.cumsum(t, axis=0)[kept]
+    at = np.abs(t[kept])
+    # converged: next terms negligible at the target
+    conv = at < 0.003 * tol * np.abs(accum)
+    # optimal truncation reached: growth for 3 consecutive kept terms
+    grew = np.zeros(at.shape, dtype=bool)
+    grew[1:] = at[1:] > at[:-1]
+    stop = np.zeros(at.shape, dtype=bool)
+    stop[3:] = grew[3:] & grew[2:-1] & grew[1:-2]
+    close = conv | stop
+    closed = close.any(axis=0)
+    end = np.where(closed, close.argmax(axis=0), at.shape[0] - 1)
+    # the smallest term so far, and the sum up to its last occurrence
+    rmin = np.minimum.accumulate(at, axis=0)
+    steps = np.arange(at.shape[0])[:, None]
+    lastmin = np.maximum.accumulate(np.where(at == rmin, steps, -1), axis=0)
+    cols = np.arange(zin.size)
+    hit = conv[end, cols]
+    snap = accum[np.where(hit, end, lastmin[end, cols]), cols]
+    err = (np.where(hit, at[end, cols], rmin[end, cols])
+           / (np.abs(snap) + 1e-300))
+    return snap, err, closed
 
 
 def _asymp_vec(alpha, beta, z, k, tol, nmax=350):
@@ -130,57 +187,27 @@ def _asymp_vec(alpha, beta, z, k, tol, nmax=350):
 
     Returns (values, relerr): relerr[i] is the self-reported attainable
     relative error at z[i] (np.inf when the expansion is unusable there).
-    Terms whose reciprocal-gamma factor sits at a pole dip are added to the
-    sum but excluded from the truncation bookkeeping.
+    The expansion is summed in blocks: the first 32 terms for every point,
+    then, for the points that neither converged nor reached their optimal
+    truncation (three consecutive growing terms), a block twice as long,
+    up to nmax terms. Terms whose reciprocal-gamma factor sits at a pole dip
+    are added to the sum but excluded from the truncation bookkeeping.
     """
     z = np.asarray(z, dtype=complex)
     zin = 1.0 / z
-    accum = np.zeros_like(z)
     snap = np.zeros_like(z)
-    best = np.full(z.shape, np.inf)
-    grow = np.zeros(z.shape, dtype=int)
     err = np.full(z.shape, np.inf)
-    open_ = np.ones(z.shape, dtype=bool)  # still extending the expansion
-    last = np.full(z.shape, np.inf)
-    zp = zin ** (1 + k)
-    for n in range(1, nmax + 1):
-        g = beta - alpha * n
-        if k == 0:
-            c = 1.0
-        else:
-            c = (-1.0) ** k
-            for i in range(k):
-                c *= n + i
-        with np.errstate(invalid="ignore"):
-            t = (-c * rgamma(g)) * zp
-        # an underflowed power against an overflowed gamma reciprocal: the
-        # true magnitude is far below any target, so the term counts as zero
-        t = np.where(np.isnan(t), 0.0, t)
-        at = np.abs(t)
-        if not _gamma_dip(g):
-            grew = open_ & (at > last)
-            grow = np.where(grew, grow + 1, 0)
-            accum = np.where(open_, accum + t, accum)
-            improved = open_ & (at <= best)
-            snap = np.where(improved, accum, snap)
-            best = np.where(improved, at, best)
-            last = np.where(open_, at, last)
-            # converged: next terms negligible at the target
-            conv = open_ & (at < 0.003 * tol * np.abs(accum))
-            snap = np.where(conv, accum, snap)
-            err = np.where(conv, at / (np.abs(accum) + 1e-300), err)
-            open_ &= ~conv
-            # optimal truncation reached: growth for 3 consecutive kept terms
-            stop = open_ & (grow >= 3)
-            err = np.where(stop, best / (np.abs(snap) + 1e-300), err)
-            open_ &= ~stop
-            if not open_.any():
-                break
-        else:
-            accum = np.where(open_, accum + t, accum)
-        zp = zp * zin
-    still = open_
-    err = np.where(still, best / (np.abs(snap) + 1e-300), err)
+    rows = np.arange(z.size)
+    nterms = 32
+    while rows.size:
+        nterms = min(nterms, nmax)
+        s, e, closed = _asymp_block(alpha, beta, zin[rows], k, tol, nterms)
+        if nterms == nmax:
+            closed[:] = True
+        snap[rows[closed]] = s[closed]
+        err[rows[closed]] = e[closed]
+        rows = rows[~closed]
+        nterms *= 2
     vals = snap
     theta = np.abs(np.angle(z))
     if k == 0:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import erfcx, gamma as Gamma
+from scipy.special import erfcx, gamma as Gamma, logsumexp
 
 from mlphase import (
     MLParams,
@@ -39,6 +39,17 @@ from mlphase import (
     ph_sample,
     sample_mml,
 )
+from mlphase.distributions import (
+    _coxian_coeffs,
+    _coxian_logpdf,
+    _coxian_logsf,
+    _erlang_logpdf,
+    _erlang_logsf,
+    _mixture_logpdf,
+    _mixture_logsf,
+    _power_arg,
+)
+from mlphase.mlfun import _ml_vec
 from conftest import standard_models
 
 
@@ -97,6 +108,51 @@ def test_structured_equals_general_path():
         assert np.max(np.abs(ps - pg) / np.maximum(pg, 1e-300)) < 1e-8, name
         ss, sg = mml_sf(d, xs), mml_sf(dg, xs)
         assert np.max(np.abs(ss - sg) / np.maximum(sg, 1e-300)) < 1e-8, name
+
+
+@pytest.mark.parametrize("weights, shapes, rates", [
+    ((0.3, 0.3, 0.4), (3, 3, 3), (10.0, 1.0, 0.1)),
+    ((0.5, 0.2, 0.3), (5, 3, 4), (20.0, 1.0, 0.03)),
+])
+@pytest.mark.parametrize("nu", [1.0, 1.5])
+def test_mixture_cores_match_per_component(weights, shapes, rates, nu):
+    # the mixture cores make one scalar-ML call per order over all
+    # components; the result must be the same bits as one call per component
+    alpha, tol = 0.9, 1e-12
+    x = np.geomspace(1e-4, 1e4, 101)
+    b = np.asarray(weights)[:, None]
+    pdf = [_erlang_logpdf(alpha, p, [lam], nu, x, tol)[0]
+           for p, lam in zip(shapes, rates)]
+    sf = [_erlang_logsf(alpha, [p], [lam], nu, x, tol)[0]
+          for p, lam in zip(shapes, rates)]
+    assert np.array_equal(
+        _mixture_logpdf(alpha, weights, shapes, rates, nu, x, tol),
+        logsumexp(pdf, axis=0, b=b))
+    assert np.array_equal(
+        _mixture_logsf(alpha, weights, shapes, rates, nu, x, tol),
+        logsumexp(sf, axis=0, b=b))
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5])
+def test_coxian_cores_match_term_loop(nu):
+    d = dict(standard_models())["cox4_a07"]
+    alpha, pi, rates, tol = d.alpha, d.ph.pi, d.ph.params["rates"], 1e-12
+    c = nu * alpha
+    x = np.geomspace(1e-4, 1e4, 101)
+    A, D = _coxian_coeffs(pi, rates)
+    pdf = np.zeros(len(x))
+    sf = np.zeros(len(x))
+    for m, lam in enumerate(rates):
+        w = -_power_arg(x, c, lam).astype(complex)
+        if A[m] != 0.0:
+            pdf += A[m] * _ml_vec(alpha, alpha, w, 0, tol).real
+        if D[m] != 0.0:
+            sf += D[m] * _ml_vec(alpha, 1.0, w, 0, tol).real
+    assert np.array_equal(
+        _coxian_logpdf(alpha, pi, rates, nu, x, tol),
+        math.log(nu) + (c - 1.0) * np.log(x) + np.log(np.maximum(pdf, 0.0)))
+    assert np.array_equal(_coxian_logsf(alpha, pi, rates, nu, x, tol),
+                          np.log(np.clip(sf, 0.0, 1.0)))
 
 
 def test_coxian_near_coalescent_rates_fall_back():

@@ -15,7 +15,7 @@ from mlphase import (
     ml_eval,
     ml_matrix,
 )
-from mlphase.mlfun import _asymp_threshold
+from mlphase.mlfun import _asymp_threshold, _asymp_vec
 
 
 def _rel(got, ref):
@@ -173,6 +173,86 @@ def test_offpole_contour_high_order(alpha, k):
     params = MLParams(alpha, 1.0)
     for z in (-1.02, -1.2, -1.7, -3.0):
         assert _rel(ml_deriv(params, z, k), ml_ref_real(alpha, 1.0, z, k)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+@pytest.mark.parametrize("k", [0, 2, 8])
+def test_asymptotic_block_extension(alpha, k):
+    # just past the asymptotic threshold these points need from 14 to 322
+    # terms, so they reach every block length of the expansion
+    from oracles import ml_ref
+
+    tol = 1e-12
+    z = -_asymp_threshold(alpha, tol) * np.array([1.0, 1.5, 4.0])
+    vals, err = _asymp_vec(alpha, alpha, z.astype(complex), k, tol)
+    for zi, v, e in zip(z, vals, err):
+        if e < 0.3 * tol:
+            assert _rel(v, complex(ml_ref(alpha, alpha, complex(zi), k))) < 1e-12
+    # 322 terms at alpha = 0.3, k = 8 and still short of the target: that
+    # point is left to the contour, every other one is accepted
+    rejected = err >= 0.3 * tol
+    assert list(rejected) == [alpha == 0.3 and k == 8, False, False]
+
+
+def _asymp_term_loop(alpha, beta, z, k, tol, nmax=350):
+    """(sum, relerr) of the optimally truncated expansion, one term at a
+    time: the reference for the block kernel of _asymp_vec."""
+    zin = 1.0 / z
+    accum = np.zeros_like(z)
+    snap = np.zeros_like(z)
+    best = np.full(z.shape, np.inf)
+    last = np.full(z.shape, np.inf)
+    grow = np.zeros(z.shape, dtype=int)
+    err = np.full(z.shape, np.inf)
+    open_ = np.ones(z.shape, dtype=bool)
+    zp = zin ** (1 + k)
+    for n in range(1, nmax + 1):
+        g = beta - alpha * n
+        c = (-1.0) ** k
+        for i in range(k):
+            c *= n + i
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (-c * rgamma(g)) * zp
+        t = np.where(np.isnan(t), 0.0, t)
+        zp = zp * zin
+        accum = np.where(open_, accum + t, accum)
+        if g <= 0.5 and abs(g - round(g)) < 1e-8:
+            continue
+        at = np.abs(t)
+        grow = np.where(open_ & (at > last), grow + 1, 0)
+        last = np.where(open_, at, last)
+        improved = open_ & (at <= best)
+        snap = np.where(improved, accum, snap)
+        best = np.where(improved, at, best)
+        conv = open_ & (at < 0.003 * tol * np.abs(accum))
+        snap = np.where(conv, accum, snap)
+        err = np.where(conv, at / (np.abs(accum) + 1e-300), err)
+        open_ &= ~conv
+        stop = open_ & (grow >= 3)
+        err = np.where(stop, best / (np.abs(snap) + 1e-300), err)
+        open_ &= ~stop
+        if not open_.any():
+            break
+    err = np.where(open_, best / (np.abs(snap) + 1e-300), err)
+    return snap, err
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.999])
+@pytest.mark.parametrize("k", [0, 1, 4, 8])
+def test_asymptotic_blocks_match_term_loop(alpha, k):
+    # off the exponential sector _asymp_vec is the algebraic expansion
+    # alone; its blocks must give the same bits as summing term by term
+    tol = 1e-12
+    r = _asymp_threshold(alpha, tol) * np.exp(np.linspace(np.log(0.3), 5.0, 40))
+    for beta in (1.0, alpha, 2.0, alpha - 1.0):
+        for theta in (np.pi, 0.9 * np.pi, 0.7 * np.pi):
+            if theta < alpha * np.pi:
+                continue
+            z = r * np.exp(1j * theta)
+            vals, err = _asymp_vec(alpha, beta, z, k, tol)
+            ref_vals, ref_err = _asymp_term_loop(alpha, beta, z, k, tol)
+            assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(err, ref_err)
 
 
 # ---------------------------------------------------------------------------
