@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -182,11 +182,7 @@ _STRUCTURE_ALIASES = {
     "exponential": "exponential",
 }
 
-_CONFIG_KEYS = {
-    "structure", "shapes", "dimension", "fit_nu", "fit_alpha",
-    "pinned_alpha", "pinned_nu", "restarts", "max_iterations",
-    "convergence_tol", "shape_grid",
-}
+_CONFIG_KEYS = {f.name for f in fields(FitConfig)}
 
 
 def _load_fit_config(path: str) -> FitConfig:

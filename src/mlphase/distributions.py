@@ -8,15 +8,17 @@ function is regularly varying with index alpha*nu.
 
 Evaluation dispatches on the structure tag of the phase-type component:
 
-* Erlang(p, lam): single derivative term
+* mixture of Erlangs, with an Erlang as the one-block mixture: the
+  weighted combination of the block forms, each Erlang(p, lam) block a
+  single derivative term
   lam^p x^{alpha p - 1}/(p-1)! E^{(p-1)}_{alpha,alpha}(-lam x^alpha),
   survival sum_{s<p} (lam x^alpha)^s/s! E^{(s)}_{alpha,1}(-lam x^alpha);
   every term is positive, so log forms are exact.
-* mixture of Erlangs: weighted combination of the block forms.
 * Coxian with well-separated rates: partial fractions over the rates
   (the telescoping Laplace transform of the sequential chain).
-* anything else: spectral decomposition of T when the eigenbasis is
-  well conditioned, otherwise the matrix-function evaluator per point.
+* anything else: one general form pi E_{alpha,beta}(T w) v, from the
+  spectral decomposition of T when the eigenbasis is well conditioned,
+  otherwise the matrix-function evaluator per point.
 
 Survival values are always produced by the direct E_{alpha,1} form, never
 by 1-CDF, so log-survival stays meaningful in the far tail.
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, rgamma
+from scipy.special import gammaln, logsumexp
 from scipy.special import gamma as sc_gamma
 
 from .errors import ValidationError
@@ -36,9 +38,9 @@ from .mlfun import MLParams, _eigenbasis, _ml_deriv_vec, _ml_vec, ml_matrix
 from .phasetype import (
     COXIAN,
     ERLANG,
-    GENERAL,
     MIXTURE_ERLANG,
     PHGenerator,
+    _check_arg,
     _neg_T_power,
     ph_from_doc,
 )
@@ -114,11 +116,7 @@ def tail_index(d) -> float:
 # argument handling
 
 def _check_x(x, allow_zero):
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x).astype(float)
-    if not np.all(np.isfinite(xs)):
-        raise ValidationError("argument must be finite")
+    xs, scalar = _check_arg(x)
     if allow_zero:
         if np.any(xs < 0):
             raise ValidationError("argument must be nonnegative")
@@ -259,82 +257,54 @@ def _coxian_logsf(alpha, pi, rates, nu, x, tol):
         return np.log(acc)
 
 
-def _spectral_weights(ph):
-    """(eigenvalues, pdf weights, survival weights) or None."""
+def _general_form(alpha, beta, ph, vec, w, tol):
+    """pi E_{alpha,beta}(T w_i) vec for each w_i: one scalar-ML call over
+    the eigenvalues when the eigenbasis is accepted, else ml_matrix per
+    point."""
     eb = _eigenbasis(ph.T)
     if eb is None:
-        return None
-    w, V, Vinv = eb
-    left = ph.pi @ V
-    a = left * (Vinv @ ph.exit_vector)
-    b = left * (Vinv @ np.ones(ph.dim))
-    return w.astype(complex), a.astype(complex), b.astype(complex)
-
-
-def _general_logpdf(alpha, ph, nu, x, tol):
-    c = nu * alpha
-    spec = _spectral_weights(ph)
-    w = _power_arg(x, c)
-    if spec is not None:
-        eig, a, _ = spec
-        args = (eig[None, :] * w[:, None]).reshape(-1)
-        vals = _ml_vec(alpha, alpha, args, 0, tol).reshape(len(x), -1)
-        dens = (vals @ a).real
-    else:
-        params = MLParams(alpha=alpha, beta=alpha, accuracy_target=tol)
-        t = ph.exit_vector
-        dens = np.array([float(ph.pi @ ml_matrix(params, ph.T * wi) @ t)
+        params = MLParams(alpha=alpha, beta=beta, accuracy_target=tol)
+        return np.array([float(ph.pi @ ml_matrix(params, ph.T * wi) @ vec)
                          for wi in w])
-    dens = np.maximum(dens, 0.0)
-    with np.errstate(divide="ignore"):
-        return math.log(nu) + (c - 1.0) * np.log(x) + np.log(dens)
+    eig, V, Vinv = eb
+    coef = ((ph.pi @ V) * (Vinv @ vec)).astype(complex)
+    args = (eig.astype(complex)[None, :] * w[:, None]).reshape(-1)
+    vals = _ml_vec(alpha, beta, args, 0, tol).reshape(len(w), -1)
+    return (vals @ coef).real
 
 
-def _general_logsf(alpha, ph, nu, x, tol):
-    c = nu * alpha
-    spec = _spectral_weights(ph)
-    w = _power_arg(x, c)
-    if spec is not None:
-        eig, _, b = spec
-        args = (eig[None, :] * w[:, None]).reshape(-1)
-        vals = _ml_vec(alpha, 1.0, args, 0, tol).reshape(len(x), -1)
-        sf = (vals @ b).real
-    else:
-        params = MLParams(alpha=alpha, beta=1.0, accuracy_target=tol)
-        ones = np.ones(ph.dim)
-        sf = np.array([float(ph.pi @ ml_matrix(params, ph.T * wi) @ ones)
-                       for wi in w])
-    sf = np.clip(sf, 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        return np.log(sf)
+def _blocks(ph):
+    """(weights, shapes, rates) of an Erlang or Erlang-mixture generator;
+    an Erlang is the one-block mixture."""
+    if ph.structure == ERLANG:
+        return [1.0], [ph.params["shape"]], [ph.params["rate"]]
+    return ph.params["weights"], ph.params["shapes"], ph.params["rates"]
 
 
 def _dispatch_logpdf(alpha, ph, nu, x, tol):
     s = ph.structure
-    if s == ERLANG:
-        return _erlang_logpdf(alpha, ph.params["shape"], [ph.params["rate"]],
-                              nu, x, tol)[0]
-    if s == MIXTURE_ERLANG:
-        return _mixture_logpdf(alpha, ph.params["weights"],
-                               ph.params["shapes"], ph.params["rates"],
-                               nu, x, tol)
+    if s in (ERLANG, MIXTURE_ERLANG):
+        return _mixture_logpdf(alpha, *_blocks(ph), nu, x, tol)
     if s == COXIAN and _coxian_ok(ph.params["rates"]):
         return _coxian_logpdf(alpha, ph.pi, ph.params["rates"], nu, x, tol)
-    return _general_logpdf(alpha, ph, nu, x, tol)
+    c = nu * alpha
+    dens = _general_form(alpha, alpha, ph, ph.exit_vector, _power_arg(x, c),
+                         tol)
+    with np.errstate(divide="ignore"):
+        return (math.log(nu) + (c - 1.0) * np.log(x)
+                + np.log(np.maximum(dens, 0.0)))
 
 
 def _dispatch_logsf(alpha, ph, nu, x, tol):
     s = ph.structure
-    if s == ERLANG:
-        return _erlang_logsf(alpha, [ph.params["shape"]], [ph.params["rate"]],
-                             nu, x, tol)[0]
-    if s == MIXTURE_ERLANG:
-        return _mixture_logsf(alpha, ph.params["weights"],
-                              ph.params["shapes"], ph.params["rates"],
-                              nu, x, tol)
+    if s in (ERLANG, MIXTURE_ERLANG):
+        return _mixture_logsf(alpha, *_blocks(ph), nu, x, tol)
     if s == COXIAN and _coxian_ok(ph.params["rates"]):
         return _coxian_logsf(alpha, ph.pi, ph.params["rates"], nu, x, tol)
-    return _general_logsf(alpha, ph, nu, x, tol)
+    sf = _general_form(alpha, 1.0, ph, np.ones(ph.dim),
+                       _power_arg(x, nu * alpha), tol)
+    with np.errstate(divide="ignore"):
+        return np.log(np.clip(sf, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -357,39 +327,32 @@ def mml_logpdf(d: MMLDist | PMMLDist, x):
     return _ret(out, scalar)
 
 
-def mml_sf(d: MMLDist | PMMLDist, x):
-    """Survival pi E_{alpha,1}(T x^{nu alpha}) 1, evaluated directly."""
+def _from_logsf(d, x, at_zero, fn):
+    """fn(log S) at the positive entries of x and at_zero at x = 0."""
     alpha, ph, nu = _unpack(d)
     xs, scalar = _check_x(x, allow_zero=True)
-    out = np.ones_like(xs)
+    out = np.full_like(xs, at_zero)
     pos = xs > 0
     if pos.any():
-        out[pos] = np.exp(_dispatch_logsf(alpha, ph, nu, xs[pos], _TOL))
+        out[pos] = fn(_dispatch_logsf(alpha, ph, nu, xs[pos], _TOL))
     return _ret(out, scalar)
+
+
+def mml_sf(d: MMLDist | PMMLDist, x):
+    """Survival pi E_{alpha,1}(T x^{nu alpha}) 1, evaluated directly."""
+    return _from_logsf(d, x, 1.0, np.exp)
 
 
 def mml_logsf(d: MMLDist | PMMLDist, x):
     """log survival function, exact deep into the tail."""
-    alpha, ph, nu = _unpack(d)
-    xs, scalar = _check_x(x, allow_zero=True)
-    out = np.zeros_like(xs)
-    pos = xs > 0
-    if pos.any():
-        out[pos] = _dispatch_logsf(alpha, ph, nu, xs[pos], _TOL)
-    return _ret(out, scalar)
+    return _from_logsf(d, x, 0.0, lambda ls: ls)
 
 
 def mml_cdf(d: MMLDist | PMMLDist, x):
     """Distribution function 1 - pi E_{alpha,1}(T x^{nu alpha}) 1 for
     x >= 0."""
-    alpha, ph, nu = _unpack(d)
-    xs, scalar = _check_x(x, allow_zero=True)
-    out = np.zeros_like(xs)
-    pos = xs > 0
-    if pos.any():
-        sf = np.exp(_dispatch_logsf(alpha, ph, nu, xs[pos], _TOL))
-        out[pos] = np.clip(1.0 - sf, 0.0, 1.0)
-    return _ret(out, scalar)
+    return _from_logsf(d, x, 0.0,
+                       lambda ls: np.clip(1.0 - np.exp(ls), 0.0, 1.0))
 
 
 def mml_laplace(d: MMLDist, u):

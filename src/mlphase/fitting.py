@@ -16,11 +16,15 @@ from scipy.optimize import minimize
 
 from .distributions import MMLDist, PMMLDist, dist_to_doc, pmml_logpdf
 from .errors import EvaluationError, ValidationError
-from .phasetype import make_coxian, make_erlang, make_mixture_erlang
+from .phasetype import (
+    COXIAN,
+    MIXTURE_ERLANG,
+    make_coxian,
+    make_erlang,
+    make_mixture_erlang,
+)
 from .rng import RandomStream
 
-MIXTURE_ERLANG = "mixture_erlang"
-COXIAN = "coxian"
 EXPONENTIAL = "exponential"
 _STRUCTURES = (MIXTURE_ERLANG, COXIAN, EXPONENTIAL)
 
@@ -134,20 +138,24 @@ def nll(model: PMMLDist, data) -> float:
 # ---------------------------------------------------------------------------
 # unconstrained reparametrization
 
-def _n_components(config: FitConfig) -> int:
+def _layout(config: FitConfig):
+    """m components and the theta slices: logit alpha, log nu (each empty
+    when pinned), m - 1 softmax weights (empty for the exponential) and m
+    log rates."""
     if config.structure == MIXTURE_ERLANG:
-        return len(config.shapes)
-    if config.structure == COXIAN:
-        return config.dimension
-    return 1
+        m = len(config.shapes)
+    elif config.structure == COXIAN:
+        m = config.dimension
+    else:
+        m = 1
+    a = int(config.fit_alpha)
+    v = a + int(config.fit_nu)
+    w = v + m - 1
+    return m, slice(0, a), slice(a, v), slice(v, w), slice(w, w + m)
 
 
 def _n_params(config: FitConfig) -> int:
-    m = _n_components(config)
-    n = int(config.fit_alpha) + int(config.fit_nu) + m
-    if config.structure in (MIXTURE_ERLANG, COXIAN):
-        n += m - 1
-    return n
+    return _layout(config)[4].stop
 
 
 def _sigmoid(x: float) -> float:
@@ -171,28 +179,14 @@ def _decode(theta: np.ndarray, config: FitConfig) -> PMMLDist:
     (e.g. softmax underflow or colliding Coxian rates); callers convert
     that to the infinite-NLL sentinel.
     """
-    pos = 0
-    if config.fit_alpha:
-        alpha = _sigmoid(theta[pos])
-        pos += 1
-    else:
-        alpha = config.pinned_alpha
-    if config.fit_nu:
-        nu = np.exp(theta[pos])
-        pos += 1
-    else:
-        nu = config.pinned_nu
-    m = _n_components(config)
-    if config.structure in (MIXTURE_ERLANG, COXIAN):
-        weights = _softmax(theta[pos:pos + m - 1])
-        pos += m - 1
-    rates = np.exp(theta[pos:pos + m])
-    pos += m
-
+    _, sa, sn, sw, sr = _layout(config)
+    alpha = _sigmoid(theta[sa][0]) if config.fit_alpha else config.pinned_alpha
+    nu = np.exp(theta[sn][0]) if config.fit_nu else config.pinned_nu
+    rates = np.exp(theta[sr])
     if config.structure == MIXTURE_ERLANG:
-        gen = make_mixture_erlang(weights, config.shapes, rates)
+        gen = make_mixture_erlang(_softmax(theta[sw]), config.shapes, rates)
     elif config.structure == COXIAN:
-        gen = make_coxian(weights, rates)
+        gen = make_coxian(_softmax(theta[sw]), rates)
     else:
         gen = make_erlang(1, float(rates[0]))
     return PMMLDist(MMLDist(alpha, gen), nu)
@@ -213,16 +207,11 @@ def _initial_point(data: np.ndarray, config: FitConfig) -> np.ndarray:
     alpha0 = 0.9 if config.fit_alpha else config.pinned_alpha
     nu0 = 1.0 if config.fit_nu else config.pinned_nu
     power = alpha0 * nu0
-    m = _n_components(config)
+    m, sa, sn, sw, sr = _layout(config)
 
-    theta = []
-    if config.fit_alpha:
-        theta.append(_logit(alpha0))
-    if config.fit_nu:
-        theta.append(np.log(nu0))
-    if config.structure in (MIXTURE_ERLANG, COXIAN):
-        theta.extend([0.0] * (m - 1))
-
+    theta = np.zeros(sr.stop)
+    theta[sa] = _logit(alpha0)
+    theta[sn] = np.log(nu0)
     if config.structure == MIXTURE_ERLANG:
         qs = np.quantile(data, (np.arange(m) + 0.5) / m)
         qs = np.maximum(qs, 1e-12)
@@ -235,26 +224,22 @@ def _initial_point(data: np.ndarray, config: FitConfig) -> np.ndarray:
     else:
         med = max(float(np.median(data)), 1e-12)
         rates = np.array([np.log(2.0) / med ** power])
-    theta.extend(np.log(rates))
-    return np.asarray(theta, dtype=float)
+    theta[sr] = np.log(rates)
+    return theta
 
 
 def _jitter(theta0: np.ndarray, config: FitConfig, stream: RandomStream) -> np.ndarray:
     g = stream.generator
     theta = theta0.copy()
-    pos = 0
+    m, sa, sn, sw, sr = _layout(config)
     if config.fit_alpha:
-        theta[pos] += g.normal(0.0, 0.75)
-        pos += 1
+        theta[sa] += g.normal(0.0, 0.75)
     if config.fit_nu:
-        theta[pos] += g.uniform(-np.log(4.0), np.log(4.0))
-        pos += 1
-    m = _n_components(config)
+        theta[sn] += g.uniform(-np.log(4.0), np.log(4.0))
     if config.structure in (MIXTURE_ERLANG, COXIAN):
-        theta[pos:pos + m - 1] += g.normal(0.0, 0.5, m - 1)
-        pos += m - 1
+        theta[sw] += g.normal(0.0, 0.5, m - 1)
     # log-uniform rate jitter over one decade each way
-    theta[pos:pos + m] += g.uniform(-np.log(10.0), np.log(10.0), m)
+    theta[sr] += g.uniform(-np.log(10.0), np.log(10.0), m)
     return theta
 
 

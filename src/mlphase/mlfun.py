@@ -492,26 +492,15 @@ def _matrix_series_mp(alpha, beta, A, tol):
 
 
 def _components(A):
-    """Connected components of the nonzero pattern of A (symmetrized)."""
-    p = A.shape[0]
-    adj = (A != 0.0) | (A != 0.0).T
-    seen = np.zeros(p, dtype=bool)
-    comps = []
-    for start in range(p):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.nonzero(adj[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(np.array(sorted(comp), dtype=int))
-    return comps
+    """Connected components of the nonzero pattern of A (symmetrized), one
+    sorted index array each, in order of their smallest index."""
+    R = (A != 0.0) | (A != 0.0).T | np.eye(len(A), dtype=bool)
+    # squaring a reflexive reachability matrix doubles the path length it
+    # covers, so bit_length(p) squarings cover every path of p - 1 steps
+    for _ in range(len(A).bit_length()):
+        R = (R.astype(float) @ R) > 0.0
+    first = R.argmax(axis=1)  # the smallest index in each row's component
+    return [np.nonzero(first == k)[0] for k in np.unique(first)]
 
 
 def ml_matrix(params: MLParams, A) -> np.ndarray:

@@ -9,6 +9,7 @@ closed forms.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,10 @@ ERLANG = "erlang"
 MIXTURE_ERLANG = "mixture_erlang"
 COXIAN = "coxian"
 GENERAL = "general"
+
+#: jump budget of one simulated path; a valid generator absorbs with
+#: probability one, so a path beyond it flags a non-absorbing chain
+MAX_JUMPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -104,23 +109,52 @@ def _params_to_doc(params: dict) -> dict:
 
 
 def ph_from_doc(doc: dict) -> PHGenerator:
-    """Build a generator from a parsed JSON document."""
+    """Build a generator from a parsed JSON document.
+
+    A tagged generator is rebuilt from its params by the structured
+    constructor (Coxian from the document's pi), and the params must
+    describe the document's pi and T to 1e-12 relative to max|T|.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("generator document must be a JSON object")
     for key in ("pi", "T"):
         if key not in doc:
             raise ValidationError(f"generator document missing {key!r}")
     structure = doc.get("structure", GENERAL)
-    params = doc.get("params", {})
     try:
         pi = np.asarray(doc["pi"], dtype=float)
         T = np.asarray(doc["T"], dtype=float)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"non-numeric generator entries: {e}") from None
-    if structure == MIXTURE_ERLANG and "shapes" in params:
-        params = dict(params)
-        params["shapes"] = tuple(int(s) for s in params["shapes"])
-    return PHGenerator(pi, T, structure, dict(params))
+    if structure not in (ERLANG, MIXTURE_ERLANG, COXIAN):
+        return PHGenerator(pi, T, structure)
+    params = doc.get("params")
+    if not isinstance(params, dict):
+        raise ValidationError(f"{structure} generator needs a params object")
+    try:
+        if structure == COXIAN:
+            gen = make_coxian(pi, params["rates"])
+        else:
+            shapes = [operator.index(s) for s in (
+                [params["shape"]] if structure == ERLANG else params["shapes"])]
+            # checked before the constructor allocates sum(shapes)^2 entries
+            if sum(shapes) != pi.size:
+                raise ValueError("shapes do not add up to the dimension of T")
+            if structure == ERLANG:
+                gen = make_erlang(shapes[0], params["rate"])
+            else:
+                gen = make_mixture_erlang(params["weights"], shapes,
+                                          params["rates"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(
+            f"ill-formed {structure} params: {e!r}") from None
+    tol = 1e-12 * np.abs(gen.T).max()
+    if (pi.shape != gen.pi.shape or T.shape != gen.T.shape
+            or not np.abs(pi - gen.pi).max() <= tol
+            or not np.abs(T - gen.T).max() <= tol):
+        raise ValidationError(
+            f"{structure} params do not describe the document's pi and T")
+    return gen
 
 
 def _validate_generator(pi: np.ndarray, T: np.ndarray) -> None:
@@ -237,11 +271,17 @@ def make_general(pi, T) -> PHGenerator:
 # ---------------------------------------------------------------------------
 # transforms and densities
 
+def _check_arg(x):
+    """(1-d float array, whether x was a scalar); rejects non-finite x."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("argument must be finite")
+    return np.atleast_1d(x), x.ndim == 0
+
+
 def ph_pdf(gen: PHGenerator, x) -> np.ndarray:
     """Density pi expm(Tx) t, vectorized over x."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
+    xs, scalar = _check_arg(x)
     t = gen.exit_vector
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
@@ -254,9 +294,7 @@ def ph_pdf(gen: PHGenerator, x) -> np.ndarray:
 
 def ph_cdf(gen: PHGenerator, x) -> np.ndarray:
     """Distribution function 1 - pi expm(Tx) 1, vectorized over x."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
+    xs, scalar = _check_arg(x)
     ones = np.ones(gen.dim)
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
@@ -269,9 +307,7 @@ def ph_cdf(gen: PHGenerator, x) -> np.ndarray:
 
 def ph_laplace(gen: PHGenerator, u) -> np.ndarray:
     """Laplace transform pi (uI - T)^{-1} t for u >= 0."""
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    us = np.atleast_1d(u)
+    us, scalar = _check_arg(u)
     if np.any(us < 0):
         raise ValidationError("Laplace argument must be nonnegative")
     t = gen.exit_vector
@@ -349,7 +385,8 @@ def ph_sample(gen: PHGenerator, rng, size=None):
 
 
 def _ph_sample_chain(gen: PHGenerator, g: np.random.Generator, n: int):
-    """Simulate the underlying jump chain, vectorized over paths."""
+    """Simulate the underlying jump chain, with exponential holding times
+    at the diagonal rates."""
     p = gen.dim
     rates = -np.diag(gen.T)
     # jump kernel rows: to states 0..p-1 then absorption at index p
@@ -359,22 +396,36 @@ def _ph_sample_chain(gen: PHGenerator, g: np.random.Generator, n: int):
     probs[:, p] = gen.exit_vector / rates
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
+    return _absorb(g, gen.pi, np.cumsum(probs, axis=1),
+                   lambda st: g.standard_exponential(len(st)) / rates[st],
+                   n, MAX_JUMPS)
 
-    p0 = np.clip(gen.pi, 0.0, None)
+
+def _absorb(g, pi, cum, hold, n, max_jumps):
+    """Absorption times of n paths of a jump chain on p transient states.
+
+    Paths start from the law pi and accumulate hold(states), one holding
+    time per path in the given states, before each jump; cum is the
+    cumulative jump kernel, rows over states 0..p-1 then absorption at
+    index p. A path making more than max_jumps jumps raises
+    EvaluationError.
+    """
+    p = len(pi)
+    p0 = np.clip(pi, 0.0, None)
     state = g.choice(p, size=n, p=p0 / p0.sum())
     total = np.zeros(n)
     active = np.ones(n, dtype=bool)
-    guard = 0
+    jumps = 0
     while np.any(active):
         idx = np.nonzero(active)[0]
         st = state[idx]
-        total[idx] += g.standard_exponential(len(idx)) / rates[st]
+        total[idx] += hold(st)
         u = g.random(len(idx))
         nxt = (u[:, None] > cum[st]).sum(axis=1)
         state[idx] = nxt
         active[idx] = nxt < p
-        guard += 1
-        if guard > 10_000_000:
-            raise RuntimeError("jump chain failed to absorb")
+        jumps += 1
+        if jumps > max_jumps:
+            raise EvaluationError(
+                "path exceeded the jump cap; chain appears non-absorbing")
     return total

@@ -110,15 +110,18 @@ def sample_ml_scalar(alpha: float, delta: float, rng: RandomStream, size=None):
     n = 1 if scalar else int(size)
     if n < 0:
         raise ValidationError("size must be nonnegative")
-    g = rng.generator
+    out = _ml_draw(rng.generator, alpha, delta, n)
+    return float(out[0]) if scalar else out
+
+
+def _ml_draw(g, alpha, delta, n):
+    """n scalar-ML draws delta * Z * R^(1/alpha); delta may be a scalar or
+    an array of n scales. At alpha = 1 only Z is drawn."""
     z = g.standard_exponential(n)
     if alpha == 1.0:
-        out = delta * z
-        return float(out[0]) if scalar else out
-    u = g.random(n)
-    rmix = ml_mixing_quantile(alpha, u)
-    out = delta * z * rmix ** (1.0 / alpha)
-    return float(out[0]) if scalar else out
+        return delta * z
+    rmix = ml_mixing_quantile(alpha, g.random(n))
+    return delta * z * rmix ** (1.0 / alpha)
 
 
 def sample_mml(d: MMLDist, rng: RandomStream, size=None):

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import EvaluationError, ValidationError
+from .errors import ValidationError
 from .mlfun import MLParams, ml_matrix
-from .phasetype import GENERAL, PHGenerator
+from .phasetype import GENERAL, MAX_JUMPS, PHGenerator, _absorb
 from .rng import RandomStream
-from .sampling import ml_mixing_quantile
-
-MAX_JUMPS = 10_000_000
+from .sampling import _ml_draw
 
 
 @dataclass(frozen=True)
@@ -154,10 +152,12 @@ def transition_matrix(spec: SemiMarkovSpec, t: float) -> np.ndarray:
 def simulate_absorption(spec: SemiMarkovSpec, rng: RandomStream, size=None):
     """Total time to absorption along simulated sample paths.
 
-    Runs the embedded chain from pi and accumulates one ML(alpha, lambda_i)
-    sojourn per visit, drawn through the exponential-mixture representation
-    with scale lambda_i^(-1/alpha). Paths exceeding the jump cap raise, since
-    a valid spec absorbs with probability one.
+    The phase-type jump chain with ML sojourns in place of exponential
+    ones: runs the embedded chain from pi and accumulates one
+    ML(alpha, lambda_i) sojourn per visit, drawn through the
+    exponential-mixture representation with scale lambda_i^(-1/alpha).
+    Paths exceeding the jump cap MAX_JUMPS raise EvaluationError, since a
+    valid spec absorbs with probability one.
     """
     scalar = size is None
     n = 1 if scalar else int(size)
@@ -166,32 +166,8 @@ def simulate_absorption(spec: SemiMarkovSpec, rng: RandomStream, size=None):
     p = spec.dim
     alpha = spec.alpha
     delta = spec.rates ** (-1.0 / alpha)
-    cum = np.cumsum(spec.Q[:p], axis=1)
     g = rng.generator
-
-    p0 = np.clip(spec.pi, 0.0, None)
-    state = g.choice(p, size=n, p=p0 / p0.sum())
-    total = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    jumps = 0
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        st = state[idx]
-        z = g.standard_exponential(len(idx))
-        if alpha == 1.0:
-            sojourn = delta[st] * z
-        else:
-            u = g.random(len(idx))
-            rmix = ml_mixing_quantile(alpha, u)
-            sojourn = delta[st] * z * rmix ** (1.0 / alpha)
-        total[idx] += sojourn
-        u2 = g.random(len(idx))
-        nxt = (u2[:, None] > cum[st]).sum(axis=1)
-        state[idx] = nxt
-        active[idx] = nxt < p
-        jumps += 1
-        if jumps > MAX_JUMPS:
-            raise EvaluationError(
-                "path exceeded the jump cap; spec appears non-absorbing"
-            )
+    total = _absorb(g, spec.pi, np.cumsum(spec.Q[:p], axis=1),
+                    lambda st: _ml_draw(g, alpha, delta[st], len(st)),
+                    n, MAX_JUMPS)
     return float(total[0]) if scalar else total

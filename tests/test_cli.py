@@ -113,6 +113,16 @@ def test_eval_malformed_model_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_eval_mistagged_model(tmp_path, capsys):
+    # an erlang tag whose params do not describe T is a validation error
+    ph = {"structure": "erlang", "pi": [1, 0], "T": [[-1, 1], [0, -1]],
+          "params": {"shape": 5, "rate": 9.0}}
+    model = _write(tmp_path / "model.json",
+                   json.dumps({"alpha": 0.8, "nu": 1.0, "ph": ph}))
+    assert main(["eval", "--model", model, "--out", str(tmp_path)]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- sample
 
 

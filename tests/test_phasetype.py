@@ -165,6 +165,16 @@ def test_laplace_closed_form():
         ph_laplace(make_erlang(1, 1.0), -0.5)
 
 
+@pytest.mark.parametrize("fn, bad", [(ph_pdf, np.nan), (ph_cdf, np.inf),
+                                     (ph_laplace, np.nan),
+                                     (ph_pdf, [1.0, -np.inf])],
+                         ids=["pdf_nan", "cdf_inf", "laplace_nan",
+                              "pdf_array_with_inf"])
+def test_non_finite_arguments_rejected(fn, bad):
+    with pytest.raises(ValidationError):
+        fn(make_erlang(2, 1.0), bad)
+
+
 def test_frac_moment_examples():
     assert abs(ph_frac_moment(make_erlang(1, 1.0), 1.0) - 1.0) < 1e-12
     assert abs(ph_frac_moment(make_erlang(2, 1.0), 2.0) - 6.0) < 1e-12
@@ -241,6 +251,7 @@ def test_json_round_trip():
         assert back.structure == g.structure
         assert np.allclose(back.pi, g.pi, atol=1e-15)
         assert np.allclose(back.T, g.T, atol=1e-15)
+        assert back.to_json() == g.to_json()
 
 
 def test_doc_fields():
@@ -252,6 +263,31 @@ def test_doc_fields():
     assert doc["T"] == [[-3.0, 3.0], [0.0, -3.0]]
     with pytest.raises(ValidationError):
         ph_from_doc({"structure": "nope", "pi": [1.0], "T": [[-1.0]]})
+
+
+# the T of an Erlang(2, 1) under an erlang tag whose params, if any, say
+# otherwise
+_ERLANG2_T = {"structure": "erlang", "pi": [1, 0], "T": [[-1, 1], [0, -1]]}
+
+
+@pytest.mark.parametrize("params", [{"shape": 5, "rate": 9.0},
+                                    {"shape": 2, "rate": 9.0}, None, 5,
+                                    {"shape": 2.5, "rate": 1.0}],
+                         ids=["mismatched", "mismatched_rate", "missing",
+                              "not_a_dict", "ill_typed"])
+def test_tagged_doc_params_must_describe_T(params):
+    doc = dict(_ERLANG2_T)
+    if params is not None:
+        doc["params"] = params
+    with pytest.raises(ValidationError):
+        ph_from_doc(doc)
+
+
+def test_coxian_doc_rates_must_describe_T():
+    doc = {"structure": "coxian", "pi": [0.5, 0.5],
+           "T": [[-1.0, 1.0], [0.0, -2.0]], "params": {"rates": [1.0, 3.0]}}
+    with pytest.raises(ValidationError):
+        ph_from_doc(doc)
 
 
 # ---------------------------------------------------------------------------

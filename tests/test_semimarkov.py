@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.stats import ks_2samp, kstest
 
+import mlphase.phasetype as phmod
 import mlphase.semimarkov as smmod
 from mlphase import (
     EvaluationError,
@@ -219,9 +220,8 @@ def test_two_sampler_equivalence():
         assert ks_2samp(a, b).pvalue > 0.01, d.ph.structure
 
 
-def test_runaway_path_guard(monkeypatch):
-    # chain that revisits states many times before absorbing; with the jump
-    # budget forced down the simulator must flag a runaway rather than hang
+def _near_reflecting_spec():
+    # chain that revisits states many times before absorbing
     Q = np.array(
         [
             [0.0, 0.999, 0.001],
@@ -229,12 +229,26 @@ def test_runaway_path_guard(monkeypatch):
             [0.0, 0.0, 1.0],
         ]
     )
-    spec = SemiMarkovSpec(
+    return SemiMarkovSpec(
         Q=Q, rates=np.array([1.0, 1.0]), alpha=0.9, pi=np.array([1.0, 0.0])
     )
+
+
+def test_runaway_path_guard(monkeypatch):
+    # with the jump budget forced down the simulator must flag a runaway
+    # rather than hang
     monkeypatch.setattr(smmod, "MAX_JUMPS", 50)
     with pytest.raises(EvaluationError):
-        simulate_absorption(spec, RandomStream(505), size=2000)
+        simulate_absorption(_near_reflecting_spec(), RandomStream(505),
+                            size=2000)
+
+
+def test_runaway_phase_type_chain(monkeypatch):
+    # the phase-type jump chain shares the guard and its error type
+    monkeypatch.setattr(phmod, "MAX_JUMPS", 50)
+    with pytest.raises(EvaluationError):
+        ph_sample(build_lambda(_near_reflecting_spec()), RandomStream(505),
+                  size=2000)
 
 
 def test_simulation_reproducible_and_scalar():
