@@ -202,10 +202,6 @@ def _load_fit_config(path: str) -> FitConfig:
         if key not in _STRUCTURE_ALIASES:
             raise ValidationError(f"{path}: unknown structure {doc['structure']!r}")
         kwargs["structure"] = _STRUCTURE_ALIASES[key]
-    if "shapes" in kwargs:
-        kwargs["shapes"] = tuple(kwargs["shapes"])
-    if "shape_grid" in kwargs and kwargs["shape_grid"] is not None:
-        kwargs["shape_grid"] = tuple(tuple(s) for s in kwargs["shape_grid"])
     return FitConfig(**kwargs)
 
 

@@ -16,9 +16,12 @@ Evaluation dispatches on the structure tag of the phase-type component:
   every term is positive, so log forms are exact.
 * Coxian with well-separated rates: partial fractions over the rates
   (the telescoping Laplace transform of the sequential chain).
-* anything else: one general form pi E_{alpha,beta}(T w) v, from the
-  spectral decomposition of T when the eigenbasis is well conditioned,
-  otherwise the matrix-function evaluator per point.
+* anything else, including every untagged generator: one general form
+  pi E_{alpha,beta}(T w) v, batched over the grid with the matrix-function
+  branch decided once per connected block of T: the Toeplitz form of
+  scalar derivatives for a uniform bidiagonal block (every Erlang block),
+  the spectral decomposition for a well-conditioned eigenbasis, and the
+  matrix-function evaluator per point only for a block with neither.
 
 Survival values are always produced by the direct E_{alpha,1} form, never
 by 1-CDF, so log-survival stays meaningful in the far tail.
@@ -34,7 +37,16 @@ from scipy.special import gammaln, logsumexp
 from scipy.special import gamma as sc_gamma
 
 from .errors import ValidationError
-from .mlfun import MLParams, _eigenbasis, _ml_deriv_vec, _ml_vec, ml_matrix
+from .mlfun import (
+    MLParams,
+    _bidiagonal_rows,
+    _components,
+    _detect_uniform_bidiagonal,
+    _eigenbasis,
+    _ml_deriv_vec,
+    _ml_vec,
+    ml_matrix,
+)
 from .phasetype import (
     COXIAN,
     ERLANG,
@@ -258,19 +270,38 @@ def _coxian_logsf(alpha, pi, rates, nu, x, tol):
 
 
 def _general_form(alpha, beta, ph, vec, w, tol):
-    """pi E_{alpha,beta}(T w_i) vec for each w_i: one scalar-ML call over
-    the eigenvalues when the eigenbasis is accepted, else ml_matrix per
-    point."""
-    eb = _eigenbasis(ph.T)
-    if eb is None:
+    """pi E_{alpha,beta}(T w_i) vec for each w_i > 0.
+
+    T w has the nonzero pattern, the uniform-bidiagonal form and the
+    eigenbasis of T for every w > 0, so ml_matrix's branch is decided once
+    per component c of T and batched over w. A block a I + b N adds
+    sum_s (pi_c N^s vec_c) (b w)^s / s! E^{(s)}(a w), one scalar-ML call per
+    order whose factor is nonzero; an accepted eigenbasis makes one
+    scalar-ML call over eigenvalues x w; only a block with neither (a
+    defective generator) calls ml_matrix per point.
+    """
+    out = np.zeros(len(w))
+    for c in _components(ph.T):
+        left, right, Tc = ph.pi[c], vec[c], ph.T[np.ix_(c, c)]
+        ab = _detect_uniform_bidiagonal(Tc)
+        if ab is not None:
+            f = np.array([left[:len(c) - s] @ right[s:]
+                          for s in range(len(c))])
+            orders = [s for s in range(len(c)) if f[s] != 0.0]
+            out += f[orders] @ _bidiagonal_rows(alpha, beta, *ab, w, orders,
+                                                tol)
+            continue
+        eb = _eigenbasis(Tc)
+        if eb is not None:
+            eig, V, Vinv = eb
+            coef = ((left @ V) * (Vinv @ right)).astype(complex)
+            args = (eig.astype(complex)[None, :] * w[:, None]).reshape(-1)
+            vals = _ml_vec(alpha, beta, args, 0, tol).reshape(len(w), -1)
+            out += (vals @ coef).real
+            continue
         params = MLParams(alpha=alpha, beta=beta, accuracy_target=tol)
-        return np.array([float(ph.pi @ ml_matrix(params, ph.T * wi) @ vec)
-                         for wi in w])
-    eig, V, Vinv = eb
-    coef = ((ph.pi @ V) * (Vinv @ vec)).astype(complex)
-    args = (eig.astype(complex)[None, :] * w[:, None]).reshape(-1)
-    vals = _ml_vec(alpha, beta, args, 0, tol).reshape(len(w), -1)
-    return (vals @ coef).real
+        out += [left @ ml_matrix(params, Tc * wi) @ right for wi in w]
+    return out
 
 
 def _blocks(ph):

@@ -9,6 +9,7 @@ and adding restarts can only improve the returned NLL.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -27,6 +28,13 @@ from .rng import RandomStream
 
 EXPONENTIAL = "exponential"
 _STRUCTURES = (MIXTURE_ERLANG, COXIAN, EXPONENTIAL)
+
+
+def _int_tuple(values, name):
+    try:
+        return tuple(int(p) for p in values)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a sequence of integers") from None
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,11 @@ class FitConfig:
     def __post_init__(self):
         if self.structure not in _STRUCTURES:
             raise ValidationError(f"unknown structure {self.structure!r}")
-        object.__setattr__(self, "shapes", tuple(int(p) for p in self.shapes))
+        for name in ("dimension", "restarts", "max_iterations",
+                     "convergence_tol", "pinned_alpha", "pinned_nu"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValidationError(f"{name} must be a number")
+        object.__setattr__(self, "shapes", _int_tuple(self.shapes, "shapes"))
         if self.structure == MIXTURE_ERLANG:
             if not self.shapes or any(p < 1 for p in self.shapes):
                 raise ValidationError("shapes must be positive integers")
@@ -71,7 +83,7 @@ class FitConfig:
         if not self.fit_nu and self.pinned_nu <= 0.0:
             raise ValidationError("pinned_nu must be positive")
         if self.shape_grid is not None:
-            grid = tuple(tuple(int(p) for p in s) for s in self.shape_grid)
+            grid = tuple(_int_tuple(s, "shape_grid") for s in self.shape_grid)
             object.__setattr__(self, "shape_grid", grid)
             if not grid:
                 raise ValidationError("shape_grid must be nonempty when given")

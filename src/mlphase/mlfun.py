@@ -424,6 +424,29 @@ def _detect_uniform_bidiagonal(A):
     return a, b
 
 
+def _bidiagonal_rows(alpha, beta, a, b, w, orders, tol):
+    """Rows (b w)^s / s! E^{(s)}_{alpha,beta}(a w), one per order s in
+    orders, over the scalings w: superdiagonal s of E_{alpha,beta}(w (aI + bN)).
+
+    Each coefficient of order s > 0 is formed in log form with its sign
+    carried, so a power that overflows against a derivative that underflows
+    gives their finite product, not inf * 0.
+    """
+    w = np.asarray(w, dtype=float)
+    z = (a * w).astype(complex)
+    rows = np.empty((len(orders), w.size))
+    with np.errstate(divide="ignore"):
+        logbw = np.log(abs(b)) + np.log(w)
+        for r, s in enumerate(orders):
+            e = _ml_deriv_vec(alpha, beta, z, s, tol).real
+            if s == 0:
+                rows[r] = e
+                continue
+            mag = np.exp(s * logbw - math.lgamma(s + 1.0) + np.log(np.abs(e)))
+            rows[r] = np.copysign(mag, e) * (-1.0 if b < 0 and s % 2 else 1.0)
+    return rows
+
+
 def _eigenbasis(A):
     """(w, V, V^{-1}) with A = V diag(w) V^{-1}, or None when the
     eigenbasis is too ill-conditioned to use (cond(V) not finite or above
@@ -527,17 +550,12 @@ def ml_matrix(params: MLParams, A) -> np.ndarray:
     ab = _detect_uniform_bidiagonal(A)
     if ab is not None:
         a, b = ab
+        orders = range(p if b else 1)
+        rows = _bidiagonal_rows(alpha, beta, a, b, [1.0], orders, tol)
         out = np.zeros((p, p))
-        coef = 1.0  # b^s / s!
-        for s in range(p):
-            if s > 0:
-                coef *= b / s
-            if coef == 0.0:
-                break
-            ds = _ml_deriv_vec(alpha, beta, np.array([a], dtype=complex),
-                               s, tol)[0].real
+        for s, row in zip(orders, rows):
             idx = np.arange(p - s)
-            out[idx, idx + s] = ds * coef
+            out[idx, idx + s] = row[0]
         return out
 
     comps = _components(A)

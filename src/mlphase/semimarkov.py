@@ -78,15 +78,18 @@ class SemiMarkovSpec:
 
 
 def sm_from_doc(doc: dict) -> SemiMarkovSpec:
+    if not isinstance(doc, dict):
+        raise ValidationError("semi-Markov document must be a JSON object")
     for key in ("Q", "rates", "alpha", "pi"):
         if key not in doc:
             raise ValidationError(f"semi-Markov document missing field {key!r}")
-    return SemiMarkovSpec(
-        np.asarray(doc["Q"], dtype=float),
-        np.asarray(doc["rates"], dtype=float),
-        float(doc["alpha"]),
-        np.asarray(doc["pi"], dtype=float),
-    )
+    try:
+        Q, rates, pi = (np.asarray(doc[key], dtype=float)
+                        for key in ("Q", "rates", "pi"))
+        alpha = float(doc["alpha"])
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"non-numeric semi-Markov entries: {e}") from None
+    return SemiMarkovSpec(Q, rates, alpha, pi)
 
 
 def _validate_spec(Q, rates, alpha, pi):

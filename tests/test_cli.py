@@ -8,6 +8,8 @@ from scipy.stats import ks_2samp
 
 import mlphase.semimarkov as smmod
 from mlphase.cli import main
+from mlphase.errors import ValidationError
+from mlphase.fitting import FitConfig
 from mlphase.distributions import (
     MMLDist,
     PMMLDist,
@@ -204,6 +206,20 @@ def test_simulate_sm_invalid_spec(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "5",
+    '{"Q": [[0.0, 1.0], [0.0, 1.0]], "rates": [1.0], "alpha": "abc",'
+    ' "pi": [1.0]}',
+], ids=["not_an_object", "non_numeric_alpha"])
+def test_simulate_sm_ill_typed_spec(tmp_path, capsys, text):
+    with pytest.raises(ValidationError):
+        smmod.sm_from_doc(json.loads(text))
+    spec_file = _write(tmp_path / "spec.json", text)
+    assert main(["simulate-sm", "--spec", spec_file, "--out", str(tmp_path),
+                 "-n", "5"]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -294,6 +310,18 @@ def test_fit_unknown_config_field(tmp_path, capsys):
     assert main(["fit", "--data", data_file, "--config", config,
                  "--out", str(tmp_path)]) == 2
     assert "iters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [{"shapes": 5}, {"restarts": "a"}],
+                         ids=["shapes_not_a_sequence", "restarts_not_a_number"])
+def test_fit_ill_typed_config(tmp_path, capsys, field):
+    with pytest.raises(ValidationError):
+        FitConfig(**field)
+    data_file = _write(tmp_path / "data.txt", "1.0\n2.0\n3.0\n")
+    config = _write(tmp_path / "config.json", json.dumps(field))
+    assert main(["fit", "--data", data_file, "--config", config,
+                 "--out", str(tmp_path)]) == 2
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_fit_nonconvergence_exit_code(tmp_path):

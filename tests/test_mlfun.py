@@ -293,6 +293,17 @@ def test_matrix_bidiagonal_scaled():
         assert np.max(_rel(np.diag(out, s), ref)) < 1e-12
 
 
+def test_matrix_bidiagonal_far_tail_finite():
+    # b^s overflows while E^{(s)}(a) underflows: the product is formed in
+    # log form, so no entry is inf * 0 = nan
+    a, b = -1e300, 1e300
+    A = np.diag([a] * 3) + np.diag([b] * 2, 1)
+    p = MLParams(0.7, 1.0)
+    out = ml_matrix(p, A)
+    assert np.all(np.isfinite(out))
+    assert _rel(out[0, 0], ml_eval(p, a)) < 1e-13
+
+
 def test_matrix_block_structure():
     B1 = np.array([[-2.0, 1.0], [0.5, -3.0]])
     B2 = np.array([[-1.0]])
