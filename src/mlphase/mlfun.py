@@ -409,17 +409,17 @@ def _detect_uniform_bidiagonal(A):
     """(a, b) when A = a I + b N with N the unit upper shift, else None."""
     p = A.shape[0]
     d = np.diag(A)
-    if not np.allclose(d, d[0], rtol=0.0, atol=1e-14 * (abs(d[0]) + 1.0)):
+    if not np.abs(d - d[0]).max() <= 1e-14 * (abs(d[0]) + 1.0):
         return None
     a = float(d[0])
     if p == 1:
         return a, 0.0
     sup = np.diag(A, 1)
-    if not np.allclose(sup, sup[0], rtol=0.0, atol=1e-14 * (abs(sup[0]) + 1.0)):
+    if not np.abs(sup - sup[0]).max() <= 1e-14 * (abs(sup[0]) + 1.0):
         return None
     b = float(sup[0])
     rest = A - a * np.eye(p) - b * np.eye(p, k=1)
-    if not np.allclose(rest, 0.0, atol=1e-14 * (1.0 + abs(a) + abs(b))):
+    if not np.abs(rest).max() <= 1e-14 * (1.0 + abs(a) + abs(b)):
         return None
     return a, b
 

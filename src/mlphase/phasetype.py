@@ -253,7 +253,7 @@ def make_coxian(pi_init, rates) -> PHGenerator:
     if np.any(rates <= 0):
         raise ValidationError("rates must be positive")
     if len(set(rates.tolist())) != p:
-        # the closed-form density divides by pairwise rate differences
+        # distinct rates give T distinct eigenvalues, so T has an eigenbasis
         raise ValidationError("Coxian rates must be distinct")
     T = np.zeros((p, p))
     idx = np.arange(p)

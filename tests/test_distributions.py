@@ -40,16 +40,11 @@ from mlphase import (
     sample_mml,
 )
 from mlphase.distributions import (
-    _coxian_coeffs,
-    _coxian_logpdf,
-    _coxian_logsf,
     _erlang_logpdf,
     _erlang_logsf,
     _mixture_logpdf,
     _mixture_logsf,
-    _power_arg,
 )
-from mlphase.mlfun import _ml_vec
 from conftest import standard_models
 
 
@@ -118,16 +113,28 @@ def test_structured_equals_general_path():
 
 def _untagged_models():
     """The standard models stripped of their tags, plus an Erlang block whose
-    initial mass sits in its middle phases."""
+    initial mass sits in its middle phases, a uniform bidiagonal block with
+    exits from every phase (geometric Erlang weights), and an Erlang block
+    beside a block that is not uniform bidiagonal (both evaluation forms
+    joined)."""
     models = [(name, MMLDist(d.alpha, d.ph.as_general()))
               for name, d in standard_models()]
     mid = make_general((0.0, 0.6, 0.4, 0.0), make_erlang(4, 2.0).T)
-    return models + [("erlang4_mid_a07", MMLDist(0.7, mid))]
+    leaky = make_general((0.5, 0.5, 0.0), [[-2.0, 1.0, 0.0],
+                                           [0.0, -2.0, 1.0],
+                                           [0.0, 0.0, -2.0]])
+    joined = make_general((0.3, 0.2, 0.5, 0.0), [[-3.0, 3.0, 0.0, 0.0],
+                                                 [0.0, -3.0, 0.0, 0.0],
+                                                 [0.0, 0.0, -2.0, 1.0],
+                                                 [0.0, 0.0, 0.5, -1.5]])
+    return models + [("erlang4_mid_a07", MMLDist(0.7, mid)),
+                     ("leaky3_a08", MMLDist(0.8, leaky)),
+                     ("erlang2_full2_a06", MMLDist(0.6, joined))]
 
 
 # cox4_a09 starts in no phase with an exit (pi t = 0), so its density at
-# small x is a near-total cancellation among eigenterms: both forms of the
-# eigenbasis sum, and the tagged Coxian core, drift from an mpmath series
+# small x is a near-total cancellation among eigenterms: both the batched
+# eigenbasis sum and ml_matrix's eigen branch drift from an mpmath series
 # by 1e-11 to 3e-8 at x = 1e-6
 _CANCELS = pytest.mark.xfail(strict=True, reason="eigenterm cancellation")
 
@@ -137,8 +144,9 @@ _CANCELS = pytest.mark.xfail(strict=True, reason="eigenterm cancellation")
 @pytest.mark.parametrize("name, d", _untagged_models())
 def test_general_form_matches_per_point_matrix(name, d, nu, survival,
                                                request):
-    # the general form decides ml_matrix's branch once per block of T and
-    # batches it over the grid; it must agree with one ml_matrix per point
+    # evaluation from the blocks of T (Erlang mixtures for uniform bidiagonal
+    # blocks, the batched eigenbasis for the rest) must agree with one
+    # ml_matrix per point
     if name == "cox4_a09" and not survival:
         request.applymarker(_CANCELS)
     if nu != 1.0:
@@ -170,6 +178,19 @@ def test_general_form_batches_erlang_blocks(monkeypatch):
                                                [0.0, 0.0, -1.0]])
     with pytest.raises(PerPoint):
         mml_pdf(MMLDist(0.7, defective), xs)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5])
+@pytest.mark.parametrize("name, d", standard_models())
+def test_tag_changes_no_number(name, d, nu):
+    # the law depends only on (pi, T): the structure tag may pick a shortcut
+    # to the blocks of T, never a different number
+    g = MMLDist(d.alpha, d.ph.as_general())
+    if nu != 1.0:
+        d, g = PMMLDist(d, nu), PMMLDist(g, nu)
+    xs = np.geomspace(1e-6, 1e6, 61)
+    for fn in (mml_pdf, mml_logpdf, mml_sf, mml_logsf):
+        assert np.array_equal(fn(d, xs), fn(g, xs)), fn.__name__
 
 
 @pytest.mark.parametrize("name, d", [
@@ -211,31 +232,9 @@ def test_mixture_cores_match_per_component(weights, shapes, rates, nu):
         logsumexp(sf, axis=0, b=b))
 
 
-@pytest.mark.parametrize("nu", [1.0, 1.5])
-def test_coxian_cores_match_term_loop(nu):
-    d = dict(standard_models())["cox4_a07"]
-    alpha, pi, rates, tol = d.alpha, d.ph.pi, d.ph.params["rates"], 1e-12
-    c = nu * alpha
-    x = np.geomspace(1e-4, 1e4, 101)
-    A, D = _coxian_coeffs(pi, rates)
-    pdf = np.zeros(len(x))
-    sf = np.zeros(len(x))
-    for m, lam in enumerate(rates):
-        w = -_power_arg(x, c, lam).astype(complex)
-        if A[m] != 0.0:
-            pdf += A[m] * _ml_vec(alpha, alpha, w, 0, tol).real
-        if D[m] != 0.0:
-            sf += D[m] * _ml_vec(alpha, 1.0, w, 0, tol).real
-    assert np.array_equal(
-        _coxian_logpdf(alpha, pi, rates, nu, x, tol),
-        math.log(nu) + (c - 1.0) * np.log(x) + np.log(np.maximum(pdf, 0.0)))
-    assert np.array_equal(_coxian_logsf(alpha, pi, rates, nu, x, tol),
-                          np.log(np.clip(sf, 0.0, 1.0)))
-
-
 def test_coxian_near_coalescent_rates_fall_back():
-    # gap below 1e-6 * max rate: closed form would divide by ~0, so the
-    # dispatch must route through the matrix path and still be accurate
+    # gap below 1e-6 * max rate: the eigenbasis is too ill-conditioned to
+    # use, so the per-point matrix path must serve and still be accurate
     d = MMLDist(0.8, make_coxian((0.6, 0.4, 0.0), (1.0, 1.0 + 1e-9, 3.0)))
     xs = np.array([0.5, 1.0, 5.0])
     got = mml_pdf(d, xs)
