@@ -7,8 +7,7 @@ nu x^{nu*alpha-1} pi E_{alpha,alpha}(T x^{nu*alpha}) t; its survival
 function is regularly varying with index alpha*nu.
 
 The law depends only on (pi, T), so evaluation is chosen from the
-connected blocks of T, not from the structure tag (an Erlang or
-Erlang-mixture tag only saves finding the blocks):
+connected blocks of T, never from the structure tag:
 
 * every uniform bidiagonal block is a mixture of Erlangs, and all of them
   go through one mixture form, each Erlang(p, lam) component a single
@@ -47,8 +46,6 @@ from .mlfun import (
     ml_matrix,
 )
 from .phasetype import (
-    ERLANG,
-    MIXTURE_ERLANG,
     PHGenerator,
     _check_arg,
     _neg_T_power,
@@ -242,22 +239,16 @@ def _general_form(alpha, beta, ph, comps, vec, w, tol):
 
 
 def _blocks(ph):
-    """(weights, shapes, rates, rest): the Erlang components of the law and
-    the blocks of T that are not uniform bidiagonal.
+    """(weights, shapes, rates, rest) from the connected blocks of T: the
+    Erlang components of the uniform bidiagonal blocks, and the other blocks.
 
-    An Erlang or Erlang-mixture tag gives the components from its params,
-    which its constructor and ph_from_doc tie to T; an Erlang is the
-    one-block mixture. Any other generator is split into the connected
-    blocks of T. A uniform bidiagonal block -lam I + b N is a mixture of
-    Erlang(k, lam): entered at phase i of p, the chain moves on with
-    probability r = b / lam at each phase, so it visits k < p - i phases
-    with probability r^(k-1) (1 - r) and all p - i with r^(p-i-1).
+    A uniform bidiagonal block -lam I + b N is a mixture of Erlang(k, lam):
+    entered at phase i of p, the chain moves on with probability r = b / lam
+    at each phase, so it visits k < p - i phases with probability
+    r^(k-1) (1 - r) and all p - i with r^(p-i-1). An Erlang or
+    Erlang-mixture generator has r = 1 and gives its own shapes, rates and
+    weights.
     """
-    if ph.structure == ERLANG:
-        return [1.0], [ph.params["shape"]], [ph.params["rate"]], []
-    if ph.structure == MIXTURE_ERLANG:
-        return (ph.params["weights"], ph.params["shapes"], ph.params["rates"],
-                [])
     weights, shapes, rates, rest = [], [], [], []
     for c in _components(ph.T):
         ab = _detect_uniform_bidiagonal(ph.T[np.ix_(c, c)])
@@ -303,8 +294,10 @@ def _dispatch_logsf(alpha, ph, nu, x, tol):
         sf = _general_form(alpha, 1.0, ph, rest, np.ones(ph.dim),
                            _power_arg(x, nu * alpha), tol)
         with np.errstate(divide="ignore"):
-            parts.append(np.log(np.clip(sf, 0.0, 1.0)))
-    return parts[0] if len(parts) == 1 else np.logaddexp(*parts)
+            parts.append(np.log(np.maximum(sf, 0.0)))
+    # a survival is at most 1, but a sum of its terms may round above it
+    joined = parts[0] if len(parts) == 1 else np.logaddexp(*parts)
+    return np.minimum(joined, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -406,20 +406,16 @@ def ml_deriv(params: MLParams, z, k: int):
 # matrix argument
 
 def _detect_uniform_bidiagonal(A):
-    """(a, b) when A = a I + b N with N the unit upper shift, else None."""
+    """(a, b) when A = a I + b N with N the unit upper shift, else None.
+
+    Entries are compared to 1e-14 of the largest entry of A, so the
+    decision does not change when A is scaled.
+    """
     p = A.shape[0]
-    d = np.diag(A)
-    if not np.abs(d - d[0]).max() <= 1e-14 * (abs(d[0]) + 1.0):
-        return None
-    a = float(d[0])
-    if p == 1:
-        return a, 0.0
-    sup = np.diag(A, 1)
-    if not np.abs(sup - sup[0]).max() <= 1e-14 * (abs(sup[0]) + 1.0):
-        return None
-    b = float(sup[0])
+    a = float(A[0, 0])
+    b = float(A[0, 1]) if p > 1 else 0.0
     rest = A - a * np.eye(p) - b * np.eye(p, k=1)
-    if not np.abs(rest).max() <= 1e-14 * (1.0 + abs(a) + abs(b)):
+    if not np.abs(rest).max() <= 1e-14 * np.abs(A).max():
         return None
     return a, b
 

@@ -183,14 +183,41 @@ def test_general_form_batches_erlang_blocks(monkeypatch):
 @pytest.mark.parametrize("nu", [1.0, 1.5])
 @pytest.mark.parametrize("name, d", standard_models())
 def test_tag_changes_no_number(name, d, nu):
-    # the law depends only on (pi, T): the structure tag may pick a shortcut
-    # to the blocks of T, never a different number
+    # the law depends only on (pi, T), so the structure tag must not change a
+    # single bit
     g = MMLDist(d.alpha, d.ph.as_general())
     if nu != 1.0:
         d, g = PMMLDist(d, nu), PMMLDist(g, nu)
     xs = np.geomspace(1e-6, 1e6, 61)
     for fn in (mml_pdf, mml_logpdf, mml_sf, mml_logsf):
         assert np.array_equal(fn(d, xs), fn(g, xs)), fn.__name__
+
+
+@pytest.mark.parametrize("name, d", standard_models() + _untagged_models())
+def test_survival_at_most_one(name, d):
+    # near x = 0 the survival terms sum to 1 and may round above it
+    xs = np.geomspace(1e-14, 1e-2, 61)
+    assert np.all(mml_logsf(d, xs) <= 0.0)
+    assert np.all(mml_sf(d, xs) <= 1.0)
+
+
+@pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
+def test_tiny_rates_rescale_the_law(tagged):
+    # T -> s T rescales X by s^(-1/alpha). Coxian rates only 2e-15 apart in
+    # absolute terms are still distinct, so the law must not be read as an
+    # Erlang block
+    alpha, s = 0.7, 1e-15
+    small = make_coxian((1.0, 0.0), (s, 3.0 * s))
+    if not tagged:
+        small = small.as_general()
+    d = MMLDist(alpha, make_coxian((1.0, 0.0), (1.0, 3.0)))
+    ds = MMLDist(alpha, small)
+    c = s ** (1.0 / alpha)
+    xs = np.geomspace(1e-2, 1e2, 21)
+    want, got = c * mml_pdf(d, xs), mml_pdf(ds, xs / c)
+    assert np.max(np.abs(got - want) / want) < 1e-10
+    want, got = mml_sf(d, xs), mml_sf(ds, xs / c)
+    assert np.max(np.abs(got - want) / want) < 1e-10
 
 
 @pytest.mark.parametrize("name, d", [
