@@ -1,10 +1,11 @@
 """Maximum-likelihood fitting of PMML models with structured PH components.
 
-The optimizer is a multi-start Nelder-Mead simplex over an unconstrained
-reparametrization: alpha through a logistic map into (0,1), nu and rates
-through log maps, mixture weights through softmax. Restarts draw jittered
-initial points from split sub-streams, so results are deterministic per seed
-and adding restarts can only improve the returned NLL.
+The optimizer is a multi-start L-BFGS-B, with scipy's two-point
+finite-difference gradient, over an unconstrained reparametrization: alpha
+through a logistic map into (0,1), nu and rates through log maps, mixture
+weights through softmax. Restarts draw jittered initial points from split
+sub-streams, so results are deterministic per seed and adding restarts can
+only improve the returned NLL.
 """
 from __future__ import annotations
 
@@ -45,6 +46,12 @@ class FitConfig:
     shape vector, "coxian" with a dimension, or "exponential". Pinned values
     are used when fit_alpha or fit_nu is False. shape_grid, when given, runs
     one full fit per candidate shape vector.
+
+    Each restart is one L-BFGS-B run of at most max_iterations iterations
+    and 2 * max_iterations * (n_params + 1) NLL evaluations, gradient
+    evaluations included. convergence_tol is its relative ftol: a restart
+    stops once an iteration lowers the NLL by at most convergence_tol *
+    max(|NLL|, 1).
     """
 
     structure: str = MIXTURE_ERLANG
@@ -287,57 +294,39 @@ def _fit_single(data: np.ndarray, config: FitConfig, stream: RandomStream) -> Fi
     theta0 = _initial_point(data, config)
     fbase = obj(theta0)
     fscale = 1.0 + (abs(fbase) if np.isfinite(fbase) else float(len(data)))
-    fatol = config.convergence_tol * fscale
+    # L-BFGS-B ends its line search, reporting success, at the first +inf
+    # probe. Rejected iterates score a finite wall instead, sqrt(1/eps)
+    # times the start's NLL scale: far above any iterate worth keeping, yet
+    # low enough that NLL differences still count beside it in the line
+    # search's interpolation, so it backtracks.
+    reject = fscale / np.sqrt(np.finfo(float).eps)
     ndim = _n_params(config)
 
-    best_theta = None
-    best_nll = np.inf
-    best_ok = False
-    trace = []
+    def fobj(theta):
+        f = obj(theta)
+        return f if np.isfinite(f) else reject
+
+    best, trace = None, []
     for i in range(config.restarts):
         start = theta0 if i == 0 else _jitter(theta0, config, stream.child(i))
         with np.errstate(invalid="ignore"):
             res = minimize(
-                obj,
+                fobj,
                 start,
-                method="Nelder-Mead",
+                method="L-BFGS-B",
                 options=dict(
                     maxiter=config.max_iterations,
-                    maxfev=2 * config.max_iterations,
-                    xatol=1e-5,
-                    fatol=fatol,
-                    adaptive=ndim > 4,
+                    maxfun=2 * config.max_iterations * (ndim + 1),
+                    ftol=config.convergence_tol,
                 ),
             )
-            ok = bool(res.success)
-            fun, x = float(res.fun), res.x
-            if np.isfinite(fun):
-                # polish each restart with a tighter simplex so the reported
-                # minimum is monotone in the restart count
-                res2 = minimize(
-                    obj,
-                    x,
-                    method="Nelder-Mead",
-                    options=dict(
-                        maxiter=config.max_iterations,
-                        maxfev=2 * config.max_iterations,
-                        xatol=1e-9,
-                        fatol=fatol * 1e-2,
-                    ),
-                )
-                if res2.fun <= fun:
-                    fun, x = float(res2.fun), res2.x
-                    ok = ok or bool(res2.success)
+        fun = float(res.fun) if res.fun < reject else np.inf
+        if fun < min(trace, default=np.inf):
+            best = res
         trace.append(fun)
-        if fun < best_nll:
-            best_nll = fun
-            best_theta = x
-            best_ok = ok
-
-    converged = best_ok and np.isfinite(best_nll)
 
     seed = (stream.seed, tuple(stream.spawn_key))
-    if best_theta is None or not np.isfinite(best_nll):
+    if best is None:
         return FitResult(
             model=None,
             nll=np.inf,
@@ -349,15 +338,15 @@ def _fit_single(data: np.ndarray, config: FitConfig, stream: RandomStream) -> Fi
             seed=seed,
             error="all restarts diverged",
         )
-    model = _canonical_model(_decode(best_theta, config), config)
+    model = _canonical_model(_decode(best.x, config), config)
     ti = float(model.tail_index)
     return FitResult(
         model=model,
-        nll=float(best_nll),
+        nll=float(best.fun),
         tail_index=ti,
         tail_index_reciprocal=1.0 / ti,
         restart_nlls=tuple(trace),
-        converged=bool(converged),
+        converged=bool(best.success),
         config=config,
         seed=seed,
         error=None,

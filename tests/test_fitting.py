@@ -1,4 +1,4 @@
-"""Likelihood assembly and the multi-start simplex fitter."""
+"""Likelihood assembly and the multi-start L-BFGS-B fitter."""
 import json
 import math
 
@@ -19,8 +19,10 @@ from mlphase import (
     nll,
     pmml_logpdf,
     profile_shapes,
+    sample_mml,
     sample_pmml,
 )
+from mlphase import fitting
 from mlphase.fitting import _decode, _n_params
 
 
@@ -65,7 +67,8 @@ def test_nll_validates_data():
 
 def test_objective_rejection_sentinel():
     # infeasible iterates (here: colliding Coxian rates) must score +inf
-    # instead of raising, so the simplex can step away from them
+    # instead of raising; the fitter turns that into a finite wall that its
+    # line search backs away from
     from mlphase.fitting import _objective
 
     config = FitConfig(structure="coxian", dimension=2, fit_alpha=False, fit_nu=False)
@@ -168,6 +171,44 @@ def test_canonical_component_order():
     res = fit_pmml(data, config, RandomStream(907))
     rates = np.asarray(res.model.ph.params["rates"])
     assert np.all(np.diff(rates) > 0.0)
+
+
+@pytest.mark.parametrize("start", [1e-3, 1e-1])
+def test_rejected_iterates_backtrack(monkeypatch, start):
+    # the likelihood rejects every rate above 1.5x the MLE; from a start far
+    # below it, the fit must back out of the rejected region to the MLE
+    # instead of stopping at the first rejected line-search probe
+    data = RandomStream(930).generator.standard_exponential(400)
+    mle = 1.0 / data.mean()
+    true_nll = fitting.nll
+    monkeypatch.setattr(
+        fitting, "nll",
+        lambda model, x: np.inf if model.ph.params["rate"] > 1.5 * mle else true_nll(model, x))
+    monkeypatch.setattr(fitting, "_initial_point",
+                        lambda d, c: np.array([math.log(start * mle)]))
+    res = fit_pmml(data, _expconfig(restarts=1), RandomStream(931))
+    assert res.converged
+    assert abs(res.model.ph.params["rate"] / mle - 1.0) < 1e-6
+
+
+def test_trimodal_fit_evaluation_budget(monkeypatch):
+    # acceptance criterion 6's first case: reach the NLL the Nelder-Mead
+    # fitter reached (with 4042 calls) in at most 1000 NLL calls
+    truth = MMLDist(0.9, make_mixture_erlang((0.3, 0.3, 0.4), (3, 3, 3), (10.0, 1.0, 0.1)))
+    data = sample_mml(truth, RandomStream(7000), size=300)
+    config = FitConfig(structure="mixture_erlang", shapes=(3, 3, 3), fit_alpha=True,
+                       fit_nu=False, restarts=3, max_iterations=600)
+    calls = []
+    true_nll = fitting.nll
+
+    def counted(model, x):
+        calls.append(1)
+        return true_nll(model, x)
+
+    monkeypatch.setattr(fitting, "nll", counted)
+    res = fit_pmml(data, config, RandomStream(7100))
+    assert res.nll <= 1003.0044690731681 + 1e-8
+    assert len(calls) <= 1000
 
 
 def test_consistency_at_scale():
