@@ -17,17 +17,17 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .distributions import dist_from_doc, pmml_cdf, pmml_pdf, pmml_sf
-from .errors import EvaluationError, ValidationError
+from .errors import EvaluationError, ValidationError, _document, _integer, _json
 from .fitting import FitConfig, fit_pmml
 from .rng import RandomStream
 from .sampling import sample_pmml
-from .semimarkov import SemiMarkovSpec, simulate_absorption
-from .tailtools import DataSeries, exp_transform, hill_curve, qq_uniform
+from .semimarkov import simulate_absorption, sm_from_doc
+from .tailtools import exp_transform, hill_curve, qq_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -45,17 +45,7 @@ class RunManifest:
     wall_time_s: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "seed": self.seed,
-                "config": self.config,
-                "inputs": self.inputs,
-                "outputs": self.outputs,
-                "wall_time_s": self.wall_time_s,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _digest(path: str) -> str:
@@ -88,17 +78,12 @@ def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}") from None
 
 
-def _load_model(path: str):
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: invalid JSON: {e}") from None
-    return dist_from_doc(doc)
+def _read_doc(path: str):
+    return _json(_read_text(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +148,7 @@ def _ingest(path: str, column: str | None) -> np.ndarray:
 
 def _prepare_data(args) -> np.ndarray:
     data = _ingest(args.data, args.column)
-    k = getattr(args, "drop_smallest", 0) or 0
+    k = _integer(args.drop_smallest, "--drop-smallest", "[0, inf)")
     if k:
         if k >= data.size:
             raise ValidationError("--drop-smallest would remove all data")
@@ -186,16 +171,7 @@ _CONFIG_KEYS = {f.name for f in fields(FitConfig)}
 
 
 def _load_fit_config(path: str) -> FitConfig:
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ValidationError(f"{path}: unknown config fields {sorted(unknown)}")
+    doc = _document(_read_doc(path), f"{path}: config", (), _CONFIG_KEYS)
     kwargs = dict(doc)
     if "structure" in kwargs:
         key = str(kwargs["structure"]).lower().replace("_", "").replace("-", "")
@@ -209,7 +185,7 @@ def _load_fit_config(path: str) -> FitConfig:
 # commands
 
 def _cmd_eval(args, manifest: RunManifest) -> int:
-    model = _load_model(args.model)
+    model = dist_from_doc(_read_doc(args.model))
     manifest.inputs[args.model] = _digest(args.model)
     if args.grid_min < 0 or args.grid_max <= args.grid_min or args.grid_points < 1:
         raise ValidationError("grid must satisfy 0 <= min < max, points >= 1")
@@ -233,30 +209,29 @@ def _cmd_eval(args, manifest: RunManifest) -> int:
     return 0
 
 
-def _cmd_sample(args, manifest: RunManifest) -> int:
-    model = _load_model(args.model)
-    manifest.inputs[args.model] = _digest(args.model)
-    if args.num < 1:
-        raise ValidationError("need n >= 1 draws")
-    rng = RandomStream(args.seed)
-    draws = sample_pmml(model, rng, size=args.num)
-    out = os.path.join(args.out, "samples.csv")
+def _write_draws(args, manifest: RunManifest, name: str, draw) -> int:
+    """Write draw(rng, n) for n = --num and the --seed stream as one
+    "value" column."""
+    n = _integer(args.num, "-n", "[1, inf)")
+    out = os.path.join(args.out, name)
+    draws = draw(RandomStream(args.seed), n)
     _atomic_write(out, "value\n" + "\n".join(_fmt(v) for v in draws) + "\n")
     manifest.outputs.append(out)
     return 0
+
+
+def _cmd_sample(args, manifest: RunManifest) -> int:
+    model = dist_from_doc(_read_doc(args.model))
+    manifest.inputs[args.model] = _digest(args.model)
+    return _write_draws(args, manifest, "samples.csv",
+                        lambda rng, n: sample_pmml(model, rng, size=n))
 
 
 def _cmd_simulate_sm(args, manifest: RunManifest) -> int:
-    spec = SemiMarkovSpec.from_json(_read_text(args.spec))
+    spec = sm_from_doc(_read_doc(args.spec))
     manifest.inputs[args.spec] = _digest(args.spec)
-    if args.num < 1:
-        raise ValidationError("need n >= 1 draws")
-    rng = RandomStream(args.seed)
-    draws = simulate_absorption(spec, rng, size=args.num)
-    out = os.path.join(args.out, "absorption.csv")
-    _atomic_write(out, "value\n" + "\n".join(_fmt(v) for v in draws) + "\n")
-    manifest.outputs.append(out)
-    return 0
+    return _write_draws(args, manifest, "absorption.csv",
+                        lambda rng, n: simulate_absorption(spec, rng, size=n))
 
 
 def _cmd_fit(args, manifest: RunManifest) -> int:
@@ -308,7 +283,7 @@ def _cmd_hill(args, manifest: RunManifest) -> int:
 
 
 def _cmd_qq(args, manifest: RunManifest) -> int:
-    model = _load_model(args.model)
+    model = dist_from_doc(_read_doc(args.model))
     manifest.inputs[args.model] = _digest(args.model)
     manifest.inputs[args.data] = _digest(args.data)
     data = _prepare_data(args)

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.special import gamma as sc_gamma
 
-from .errors import ValidationError
+from .errors import ValidationError, _document, _json, _number
 from .mlfun import (
     MLParams,
     _components,
@@ -65,10 +65,8 @@ class MMLDist:
     ph: PHGenerator
 
     def __post_init__(self):
-        a = float(self.alpha)
-        if not (np.isfinite(a) and 0.0 < a <= 1.0):
-            raise ValidationError("alpha must lie in (0, 1]")
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha",
+                           _number(self.alpha, "alpha", "(0, 1]"))
         if not isinstance(self.ph, PHGenerator):
             raise ValidationError("ph must be a PHGenerator")
 
@@ -85,10 +83,7 @@ class PMMLDist:
     nu: float
 
     def __post_init__(self):
-        v = float(self.nu)
-        if not (np.isfinite(v) and v > 0.0):
-            raise ValidationError("nu must be positive")
-        object.__setattr__(self, "nu", v)
+        object.__setattr__(self, "nu", _number(self.nu, "nu", "(0, inf)"))
         if not isinstance(self.base, MMLDist):
             raise ValidationError("base must be an MMLDist")
 
@@ -122,17 +117,6 @@ def tail_index(d) -> float:
 
 # ---------------------------------------------------------------------------
 # argument handling
-
-def _check_x(x, allow_zero):
-    xs, scalar = _check_arg(x)
-    if allow_zero:
-        if np.any(xs < 0):
-            raise ValidationError("argument must be nonnegative")
-    else:
-        if np.any(xs <= 0):
-            raise ValidationError("argument must be positive")
-    return xs, scalar
-
 
 def _power_arg(x, expo, scale=1.0):
     """scale * x**expo with overflow saturated at a huge finite value."""
@@ -307,7 +291,7 @@ def mml_pdf(d: MMLDist | PMMLDist, x):
     """Density nu x^{nu alpha - 1} pi E_{alpha,alpha}(T x^{nu alpha}) t
     for x > 0."""
     alpha, ph, nu = _unpack(d)
-    xs, scalar = _check_x(x, allow_zero=False)
+    xs, scalar = _check_arg(x, "(0, inf)")
     out = np.exp(_dispatch_logpdf(alpha, ph, nu, xs, _TOL))
     return _ret(out, scalar)
 
@@ -315,7 +299,7 @@ def mml_pdf(d: MMLDist | PMMLDist, x):
 def mml_logpdf(d: MMLDist | PMMLDist, x):
     """log of mml_pdf, computed without underflow for extreme x."""
     alpha, ph, nu = _unpack(d)
-    xs, scalar = _check_x(x, allow_zero=False)
+    xs, scalar = _check_arg(x, "(0, inf)")
     out = _dispatch_logpdf(alpha, ph, nu, xs, _TOL)
     return _ret(out, scalar)
 
@@ -323,7 +307,7 @@ def mml_logpdf(d: MMLDist | PMMLDist, x):
 def _from_logsf(d, x, at_zero, fn):
     """fn(log S) at the positive entries of x and at_zero at x = 0."""
     alpha, ph, nu = _unpack(d)
-    xs, scalar = _check_x(x, allow_zero=True)
+    xs, scalar = _check_arg(x, "[0, inf)")
     out = np.full_like(xs, at_zero)
     pos = xs > 0
     if pos.any():
@@ -354,7 +338,7 @@ def mml_laplace(d: MMLDist, u):
     if nu != 1.0:
         raise ValidationError(
             "Laplace transform is only available for the untransformed law")
-    us, scalar = _check_x(u, allow_zero=True)
+    us, scalar = _check_arg(u, "[0, inf)")
     return _ret(ph_laplace(ph, us ** alpha), scalar)
 
 
@@ -368,9 +352,7 @@ def mml_frac_moment(d: MMLDist, rho: float) -> float:
     if nu != 1.0:
         raise ValidationError(
             "fractional moments are only available for the untransformed law")
-    rho = float(rho)
-    if not (0.0 < rho < alpha):
-        raise ValidationError("moment order must lie in (0, alpha)")
+    rho = _number(rho, "moment order", f"(0, {alpha!r})")
     r = rho / alpha
     ones = np.ones(ph.dim)
     ph_part = float(ph.pi @ _neg_T_power(ph, r) @ ones)
@@ -404,26 +386,19 @@ def dist_to_json(d) -> str:
 
 
 def dist_from_doc(doc: dict):
-    if not isinstance(doc, dict):
-        raise ValidationError("distribution document must be a JSON object")
-    for key in ("alpha", "ph"):
-        if key not in doc:
-            raise ValidationError(f"distribution document missing {key!r}")
-    try:
-        alpha = float(doc["alpha"])
-        nu = float(doc.get("nu", 1.0))
-    except (TypeError, ValueError):
-        raise ValidationError("alpha and nu must be numbers") from None
-    base = MMLDist(alpha=alpha, ph=ph_from_doc(doc["ph"]))
-    if nu == 1.0:
-        return base
-    return PMMLDist(base=base, nu=nu)
+    """Build a law from a parsed JSON document.
+
+    Required keys: "alpha" (a number in (0, 1]) and "ph" (a generator
+    document, see phasetype.ph_from_doc). Optional key: "nu" (a positive
+    number, default 1). Any other key is rejected. nu = 1 yields a plain
+    MMLDist.
+    """
+    doc = _document(doc, "distribution document", ("alpha", "ph"), ("nu",))
+    d = PMMLDist(MMLDist(doc["alpha"], ph_from_doc(doc["ph"])),
+                 doc.get("nu", 1.0))
+    return d.base if d.nu == 1.0 else d
 
 
 def dist_from_json(text: str):
     """Inverse of dist_to_json; nu = 1 yields a plain MMLDist."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"invalid JSON: {e}") from None
-    return dist_from_doc(doc)
+    return dist_from_doc(_json(text, "distribution document"))

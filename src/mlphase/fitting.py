@@ -10,14 +10,21 @@ only improve the returned NLL.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .distributions import MMLDist, PMMLDist, dist_to_doc, pmml_logpdf
-from .errors import EvaluationError, ValidationError
+from .errors import (
+    EvaluationError,
+    ValidationError,
+    _ANY,
+    _flag,
+    _integer,
+    _integers,
+    _number,
+)
 from .phasetype import (
     COXIAN,
     MIXTURE_ERLANG,
@@ -26,16 +33,10 @@ from .phasetype import (
     make_mixture_erlang,
 )
 from .rng import RandomStream
+from .tailtools import DataSeries
 
 EXPONENTIAL = "exponential"
 _STRUCTURES = (MIXTURE_ERLANG, COXIAN, EXPONENTIAL)
-
-
-def _int_tuple(values, name):
-    try:
-        return tuple(int(p) for p in values)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a sequence of integers") from None
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,14 @@ class FitConfig:
     shape vector, "coxian" with a dimension, or "exponential". Pinned values
     are used when fit_alpha or fit_nu is False. shape_grid, when given, runs
     one full fit per candidate shape vector.
+
+    shapes is a list of integers, shape_grid a nonempty list of them;
+    dimension, restarts and max_iterations are integers (not bool, not 3.0),
+    fit_alpha and fit_nu bools, and the rest finite numbers, stored as
+    Python int, bool and float. restarts, max_iterations, the shapes of a
+    "mixture_erlang" and the dimension of a "coxian" are >= 1;
+    convergence_tol lies in [1e-12, 1e-4]; a pinned alpha in (0, 1] and a
+    pinned nu > 0.
 
     Each restart is one L-BFGS-B run of at most max_iterations iterations
     and 2 * max_iterations * (n_params + 1) NLL evaluations, gradient
@@ -69,32 +78,29 @@ class FitConfig:
     def __post_init__(self):
         if self.structure not in _STRUCTURES:
             raise ValidationError(f"unknown structure {self.structure!r}")
-        for name in ("dimension", "restarts", "max_iterations",
-                     "convergence_tol", "pinned_alpha", "pinned_nu"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValidationError(f"{name} must be a number")
-        object.__setattr__(self, "shapes", _int_tuple(self.shapes, "shapes"))
-        if self.structure == MIXTURE_ERLANG:
-            if not self.shapes or any(p < 1 for p in self.shapes):
-                raise ValidationError("shapes must be positive integers")
-        if self.structure == COXIAN and self.dimension < 1:
-            raise ValidationError("dimension must be a positive integer")
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if not 1e-12 <= self.convergence_tol <= 1e-4:
-            raise ValidationError("convergence_tol must lie in [1e-12, 1e-4]")
-        if not self.fit_alpha and not 0.0 < self.pinned_alpha <= 1.0:
-            raise ValidationError("pinned_alpha must lie in (0, 1]")
-        if not self.fit_nu and self.pinned_nu <= 0.0:
-            raise ValidationError("pinned_nu must be positive")
+        mixture = self.structure == MIXTURE_ERLANG
+        positive = "[1, inf)"
+        for name, check, *interval in (
+                ("fit_alpha", _flag), ("fit_nu", _flag),
+                ("shapes", _integers, positive if mixture else _ANY),
+                ("dimension", _integer,
+                 positive if self.structure == COXIAN else _ANY),
+                ("restarts", _integer, positive),
+                ("max_iterations", _integer, positive),
+                ("convergence_tol", _number, "[1e-12, 1e-4]"),
+                ("pinned_alpha", _number, _ANY if self.fit_alpha else "(0, 1]"),
+                ("pinned_nu", _number, _ANY if self.fit_nu else "(0, inf)")):
+            object.__setattr__(self, name,
+                               check(getattr(self, name), name, *interval))
+        if mixture and not self.shapes:
+            raise ValidationError("shapes must be nonempty")
         if self.shape_grid is not None:
-            grid = tuple(_int_tuple(s, "shape_grid") for s in self.shape_grid)
-            object.__setattr__(self, "shape_grid", grid)
-            if not grid:
-                raise ValidationError("shape_grid must be nonempty when given")
-            if self.structure != MIXTURE_ERLANG:
+            if not (isinstance(self.shape_grid, (list, tuple))
+                    and self.shape_grid):
+                raise ValidationError("shape_grid must be a nonempty list")
+            object.__setattr__(self, "shape_grid", tuple(
+                _integers(s, "shape_grid", positive) for s in self.shape_grid))
+            if not mixture:
                 raise ValidationError("shape_grid applies to mixture_erlang only")
 
 
@@ -130,22 +136,13 @@ class FitResult:
         return json.dumps(doc, indent=2)
 
 
-def _check_data(data) -> np.ndarray:
-    x = np.asarray(data, dtype=float).reshape(-1)
-    if x.size == 0:
-        raise ValidationError("data must be nonempty")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValidationError("data values must be positive and finite")
-    return x
-
-
 def nll(model: PMMLDist, data) -> float:
     """Negative log-likelihood -sum log pmml_pdf(x_i).
 
     Any non-finite log-density maps to the infinite-NLL sentinel so the
     optimizer treats the iterate as rejected rather than crashing.
     """
-    x = _check_data(data)
+    x = DataSeries(data).values
     try:
         lp = pmml_logpdf(model, x)
     except (ValidationError, EvaluationError, FloatingPointError, OverflowError):
@@ -167,8 +164,8 @@ def _layout(config: FitConfig):
         m = config.dimension
     else:
         m = 1
-    a = int(config.fit_alpha)
-    v = a + int(config.fit_nu)
+    a = config.fit_alpha
+    v = a + config.fit_nu
     w = v + m - 1
     return m, slice(0, a), slice(a, v), slice(v, w), slice(w, w + m)
 
@@ -359,13 +356,9 @@ def fit_pmml(data, config: FitConfig, rng: RandomStream) -> FitResult:
     With shape_grid set, runs one full fit per candidate shape vector on its
     own sub-stream and returns the lowest-NLL winner.
     """
-    x = _check_data(data)
+    x = DataSeries(data).values
     if config.shape_grid is not None:
-        results = profile_shapes(x, config, rng)
-        usable = [r for r in results if r.model is not None]
-        if not usable:
-            return results[0]
-        return usable[0]
+        return profile_shapes(x, config, rng)[0]
     return _fit_single(x, config, rng)
 
 
@@ -376,9 +369,9 @@ def profile_shapes(data, base_config: FitConfig, rng: RandomStream) -> list:
     without aborting the sweep. Likelihoods are reported raw; no information
     criteria are applied.
     """
-    if base_config.shape_grid is None or not base_config.shape_grid:
+    if not base_config.shape_grid:
         raise ValidationError("profile_shapes requires a nonempty shape_grid")
-    x = _check_data(data)
+    x = DataSeries(data).values
     results = []
     for ci, shapes in enumerate(base_config.shape_grid):
         cfg = replace(base_config, shapes=tuple(shapes), shape_grid=None)

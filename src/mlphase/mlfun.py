@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rgamma
 
-from .errors import ValidationError, EvaluationError
+from .errors import EvaluationError, ValidationError, _array, _integer, _number
 
 MAX_DERIV = 64
 MAX_DIM = 64
@@ -66,17 +66,11 @@ class MLParams:
     accuracy_target: float = 1e-12
 
     def __post_init__(self):
-        a, b, t = float(self.alpha), float(self.beta), float(self.accuracy_target)
-        if not (np.isfinite(a) and 0.0 < a < 2.0):
-            raise ValidationError("alpha must lie in (0, 2)")
-        if not np.isfinite(b):
-            raise ValidationError("beta must be a finite real")
-        if not (ACCURACY_MIN <= t <= ACCURACY_MAX):
-            raise ValidationError(
-                f"accuracy_target must lie in [{ACCURACY_MIN}, {ACCURACY_MAX}]")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "accuracy_target", t)
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "(0, 2)"))
+        object.__setattr__(self, "beta", _number(self.beta, "beta"))
+        object.__setattr__(self, "accuracy_target", _number(
+            self.accuracy_target, "accuracy_target",
+            f"[{ACCURACY_MIN}, {ACCURACY_MAX}]"))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +376,7 @@ def ml_deriv(params: MLParams, z, k: int):
 
     Accepts scalars or arrays like ml_eval.
     """
-    k = int(k)
-    if k < 0 or k > MAX_DERIV:
-        raise ValidationError(f"derivative order must lie in [0, {MAX_DERIV}]")
+    k = _integer(k, "derivative order", f"[0, {MAX_DERIV}]")
     if params.beta <= 0.0:
         raise ValidationError("beta must be positive for direct evaluation")
     za = np.asarray(z)
@@ -533,14 +525,12 @@ def ml_matrix(params: MLParams, A) -> np.ndarray:
     """
     if params.beta <= 0.0:
         raise ValidationError("beta must be positive for direct evaluation")
-    A = np.asarray(A, dtype=float)
+    A = _array(A, "matrix argument", 2)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("matrix argument must be square")
     p = A.shape[0]
     if p > MAX_DIM:
         raise ValidationError(f"matrix dimension exceeds {MAX_DIM}")
-    if not np.all(np.isfinite(A)):
-        raise ValidationError("matrix entries must be finite")
     alpha, beta, tol = params.alpha, params.beta, params.accuracy_target
 
     ab = _detect_uniform_bidiagonal(A)

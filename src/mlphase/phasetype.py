@@ -9,14 +9,23 @@ closed forms.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import gamma as sc_gamma
 
-from .errors import EvaluationError, ValidationError
+from .errors import (
+    EvaluationError,
+    ValidationError,
+    _ANY,
+    _array,
+    _document,
+    _integer,
+    _integers,
+    _json,
+    _number,
+)
 from .mlfun import _eigenbasis
 
 #: structure tags
@@ -53,8 +62,8 @@ class PHGenerator:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float).reshape(-1)
-        T = np.asarray(self.T, dtype=float)
+        pi = _array(self.pi, "pi", 1).reshape(-1)
+        T = _array(self.T, "T", 2)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "T", T)
         _validate_generator(pi, T)
@@ -86,11 +95,7 @@ class PHGenerator:
 
     @staticmethod
     def from_json(text: str) -> "PHGenerator":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"invalid JSON: {e}") from None
-        return ph_from_doc(doc)
+        return ph_from_doc(_json(text, "generator document"))
 
 
 def _params_to_doc(params: dict) -> dict:
@@ -108,46 +113,46 @@ def _params_to_doc(params: dict) -> dict:
     return out
 
 
+#: the params keys of each tagged structure
+_PARAM_KEYS = {
+    ERLANG: ("shape", "rate"),
+    MIXTURE_ERLANG: ("weights", "shapes", "rates"),
+    COXIAN: ("rates",),
+}
+
+
 def ph_from_doc(doc: dict) -> PHGenerator:
     """Build a generator from a parsed JSON document.
 
-    A tagged generator is rebuilt from its params by the structured
-    constructor (Coxian from the document's pi), and the params must
-    describe the document's pi and T to 1e-12 relative to max|T|.
+    Required keys: "pi" (a vector) and "T" (a matrix). Optional keys:
+    "structure" (default "general") and "params". Any other key is
+    rejected. A tagged generator ("erlang", "mixture_erlang", "coxian")
+    needs a params object with exactly the keys of its structure: "shape"
+    (an integer) and "rate"; "weights", "shapes" (integers) and "rates";
+    or "rates". It is rebuilt from its params by the structured constructor
+    (Coxian from the document's pi), and the params must describe the
+    document's pi and T to 1e-12 relative to max|T|.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError("generator document must be a JSON object")
-    for key in ("pi", "T"):
-        if key not in doc:
-            raise ValidationError(f"generator document missing {key!r}")
+    doc = _document(doc, "generator document", ("pi", "T"),
+                    ("structure", "params"))
+    pi, T = _array(doc["pi"], "pi", 1), _array(doc["T"], "T", 2)
     structure = doc.get("structure", GENERAL)
-    try:
-        pi = np.asarray(doc["pi"], dtype=float)
-        T = np.asarray(doc["T"], dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"non-numeric generator entries: {e}") from None
     if structure not in (ERLANG, MIXTURE_ERLANG, COXIAN):
         return PHGenerator(pi, T, structure)
-    params = doc.get("params")
-    if not isinstance(params, dict):
-        raise ValidationError(f"{structure} generator needs a params object")
-    try:
-        if structure == COXIAN:
-            gen = make_coxian(pi, params["rates"])
-        else:
-            shapes = [operator.index(s) for s in (
-                [params["shape"]] if structure == ERLANG else params["shapes"])]
-            # checked before the constructor allocates sum(shapes)^2 entries
-            if sum(shapes) != pi.size:
-                raise ValueError("shapes do not add up to the dimension of T")
-            if structure == ERLANG:
-                gen = make_erlang(shapes[0], params["rate"])
-            else:
-                gen = make_mixture_erlang(params["weights"], shapes,
-                                          params["rates"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(
-            f"ill-formed {structure} params: {e!r}") from None
+    params = _document(doc.get("params"), f"{structure} params",
+                       _PARAM_KEYS[structure])
+    if structure == COXIAN:
+        gen = make_coxian(pi, params["rates"])
+    else:
+        shapes = (_integers(params["shapes"], "shapes", "[1, inf)")
+                  if structure == MIXTURE_ERLANG
+                  else (_integer(params["shape"], "shape", "[1, inf)"),))
+        # checked before the constructor allocates sum(shapes)^2 entries
+        if sum(shapes) != pi.size:
+            raise ValidationError("shapes do not add up to the dimension of T")
+        gen = (make_erlang(shapes[0], params["rate"]) if structure == ERLANG
+               else make_mixture_erlang(params["weights"], shapes,
+                                        params["rates"]))
     tol = 1e-12 * np.abs(gen.T).max()
     if (pi.shape != gen.pi.shape or T.shape != gen.T.shape
             or not np.abs(pi - gen.pi).max() <= tol
@@ -165,8 +170,6 @@ def _validate_generator(pi: np.ndarray, T: np.ndarray) -> None:
         raise ValidationError("dimension must be at least 1")
     if pi.shape != (p,):
         raise ValidationError("pi length must match the dimension of T")
-    if not np.all(np.isfinite(T)) or not np.all(np.isfinite(pi)):
-        raise ValidationError("generator entries must be finite")
     if np.any(pi < -1e-12):
         raise ValidationError("pi entries must be nonnegative")
     if abs(pi.sum() - 1.0) > 1e-9:
@@ -194,34 +197,27 @@ def _validate_generator(pi: np.ndarray, T: np.ndarray) -> None:
 
 def make_erlang(p: int, lam: float) -> PHGenerator:
     """Erlang generator: p sequential phases at a common rate."""
-    p = int(p)
-    if p < 1:
-        raise ValidationError("shape must be a positive integer")
-    if not lam > 0:
-        raise ValidationError("rate must be positive")
+    p = _integer(p, "shape", "[1, inf)")
+    lam = _number(lam, "rate", "(0, inf)")
     T = np.zeros((p, p))
     idx = np.arange(p)
     T[idx, idx] = -lam
     T[idx[:-1], idx[:-1] + 1] = lam
     pi = np.zeros(p)
     pi[0] = 1.0
-    return PHGenerator(pi, T, ERLANG, {"shape": p, "rate": float(lam)})
+    return PHGenerator(pi, T, ERLANG, {"shape": p, "rate": lam})
 
 
 def make_mixture_erlang(weights, shapes, rates) -> PHGenerator:
     """Mixture of Erlang generators on a block-diagonal state space."""
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    shapes = [int(s) for s in np.asarray(shapes).reshape(-1)]
-    rates = np.asarray(rates, dtype=float).reshape(-1)
+    weights = _array(weights, "weights", 1, "[0, inf)").reshape(-1)
+    shapes = _integers(shapes, "shapes", "[1, inf)")
+    rates = _array(rates, "rates", 1, "(0, inf)").reshape(-1)
     m = len(weights)
     if not (len(shapes) == len(rates) == m) or m < 1:
         raise ValidationError("weights, shapes and rates must have equal length")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValidationError("weights must be nonnegative and sum to 1")
-    if any(s < 1 for s in shapes):
-        raise ValidationError("shapes must be positive integers")
-    if np.any(rates <= 0):
-        raise ValidationError("rates must be positive")
+    if abs(weights.sum() - 1.0) > 1e-9:
+        raise ValidationError("weights must sum to 1")
     p = sum(shapes)
     T = np.zeros((p, p))
     pi = np.zeros(p)
@@ -233,7 +229,7 @@ def make_mixture_erlang(weights, shapes, rates) -> PHGenerator:
         pi[pos] = w
         pos += s
     return PHGenerator(pi, T, MIXTURE_ERLANG, {
-        "weights": weights.copy(), "shapes": tuple(shapes), "rates": rates.copy(),
+        "weights": weights.copy(), "shapes": shapes, "rates": rates.copy(),
     })
 
 
@@ -243,15 +239,13 @@ def make_coxian(pi_init, rates) -> PHGenerator:
     Phase i feeds phase i+1 at its full rate; absorption happens only from
     the final phase. The initial vector may start the chain in any phase.
     """
-    pi_init = np.asarray(pi_init, dtype=float).reshape(-1)
-    rates = np.asarray(rates, dtype=float).reshape(-1)
+    pi_init = _array(pi_init, "pi", 1).reshape(-1)
+    rates = _array(rates, "rates", 1, "(0, inf)").reshape(-1)
     p = len(rates)
     if len(pi_init) != p:
         raise ValidationError("initial vector and rates must have equal length")
     if p < 1:
         raise ValidationError("dimension must be at least 1")
-    if np.any(rates <= 0):
-        raise ValidationError("rates must be positive")
     if len(set(rates.tolist())) != p:
         # distinct rates give T distinct eigenvalues, so T has an eigenbasis
         raise ValidationError("Coxian rates must be distinct")
@@ -264,18 +258,16 @@ def make_coxian(pi_init, rates) -> PHGenerator:
 
 def make_general(pi, T) -> PHGenerator:
     """Untagged generator from explicit (pi, T)."""
-    return PHGenerator(np.asarray(pi, dtype=float), np.asarray(T, dtype=float),
-                       GENERAL, {})
+    return PHGenerator(pi, T, GENERAL, {})
 
 
 # ---------------------------------------------------------------------------
 # transforms and densities
 
-def _check_arg(x):
-    """(1-d float array, whether x was a scalar); rejects non-finite x."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("argument must be finite")
+def _check_arg(x, interval=_ANY):
+    """(1-d float array, whether x was a scalar) for a scalar or vector x
+    with finite entries in interval."""
+    x = _array(x, "argument", 1, interval)
     return np.atleast_1d(x), x.ndim == 0
 
 
@@ -307,9 +299,7 @@ def ph_cdf(gen: PHGenerator, x) -> np.ndarray:
 
 def ph_laplace(gen: PHGenerator, u) -> np.ndarray:
     """Laplace transform pi (uI - T)^{-1} t for u >= 0."""
-    us, scalar = _check_arg(u)
-    if np.any(us < 0):
-        raise ValidationError("Laplace argument must be nonnegative")
+    us, scalar = _check_arg(u, "[0, inf)")
     t = gen.exit_vector
     eye = np.eye(gen.dim)
     out = np.empty_like(us)
@@ -349,9 +339,7 @@ def _neg_T_power(gen: PHGenerator, a: float) -> np.ndarray:
 
 def ph_frac_moment(gen: PHGenerator, a: float) -> float:
     """Fractional moment E[X^a] = Gamma(a+1) pi (-T)^{-a} 1 for a > 0."""
-    a = float(a)
-    if not a > 0:
-        raise ValidationError("moment order must be positive")
+    a = _number(a, "moment order", "(0, inf)")
     ones = np.ones(gen.dim)
     val = float(gen.pi @ _neg_T_power(gen, a) @ ones)
     return float(sc_gamma(a + 1.0)) * val
@@ -367,9 +355,7 @@ def ph_sample(gen: PHGenerator, rng, size=None):
     other structures simulate the jump chain. Scalar when size is None.
     """
     scalar = size is None
-    n = 1 if scalar else int(size)
-    if n < 0:
-        raise ValidationError("size must be nonnegative")
+    n = 1 if scalar else _integer(size, "size", "[0, inf)")
     g = rng.generator
     if gen.structure == ERLANG:
         out = g.gamma(gen.params["shape"], 1.0 / gen.params["rate"], n)

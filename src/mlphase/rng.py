@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _integer, _integers
 
 
 @dataclass
@@ -32,12 +32,8 @@ class RandomStream:
     _gen: np.random.Generator = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError("seed must be an integer")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        self.seed = int(self.seed)
-        self.spawn_key = tuple(int(k) for k in self.spawn_key)
+        self.seed = _integer(self.seed, "seed", f"[0, {2 ** 64})")
+        self.spawn_key = _integers(self.spawn_key, "spawn_key", "[0, inf)")
 
     @property
     def generator(self) -> np.random.Generator:
@@ -54,10 +50,9 @@ class RandomStream:
         generator state is not consumed, and repeated calls return streams
         with identical output.
         """
-        if n < 1:
-            raise ValidationError("split count must be positive")
+        n = _integer(n, "split count", "[1, inf)")
         return [RandomStream(self.seed, self.spawn_key + (i,)) for i in range(n)]
 
     def child(self, index: int) -> "RandomStream":
         """Single child stream at a given index of the split tree."""
-        return RandomStream(self.seed, self.spawn_key + (int(index),))
+        return RandomStream(self.seed, self.spawn_key + (index,))

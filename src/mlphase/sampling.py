@@ -11,16 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import MMLDist, PMMLDist
-from .errors import ValidationError
+from .errors import ValidationError, _array, _integer, _number
 from .phasetype import ph_sample
 from .rng import RandomStream
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or not 0.0 < alpha <= 1.0:
-        raise ValidationError("alpha must lie in (0, 1]")
-    return alpha
 
 
 def sample_positive_stable(alpha: float, rng: RandomStream, size=None):
@@ -34,11 +27,9 @@ def sample_positive_stable(alpha: float, rng: RandomStream, size=None):
 
     alpha = 1 gives the degenerate law at 1 and consumes no randomness.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _number(alpha, "alpha", "(0, 1]")
     scalar = size is None
-    n = 1 if scalar else int(size)
-    if n < 0:
-        raise ValidationError("size must be nonnegative")
+    n = 1 if scalar else _integer(size, "size", "[0, inf)")
     if alpha == 1.0:
         out = np.ones(n)
         return 1.0 if scalar else out
@@ -68,10 +59,8 @@ def ml_mixing_cdf(alpha: float, x):
     the unique law making Z * R^(1/alpha) Mittag-Leffler (checked against
     the transform 1/(1+u^alpha) by quadrature).
     """
-    alpha = _check_alpha(alpha)
-    if alpha == 1.0:
-        raise ValidationError("mixing law degenerates at alpha = 1")
-    x = np.asarray(x, dtype=float)
+    alpha = _number(alpha, "alpha", "(0, 1)")
+    x = _array(x, "x", 1)
     s = np.sin(alpha * np.pi)
     c = np.cos(alpha * np.pi) / s
     val = (1.0 / (np.pi * alpha)) * (np.arctan(x / s + c) - np.pi / 2.0) + 1.0
@@ -83,12 +72,8 @@ def ml_mixing_quantile(alpha: float, q):
 
     quantile(q) = sin(alpha*pi) * cot((1-q)*pi*alpha) - cos(alpha*pi).
     """
-    alpha = _check_alpha(alpha)
-    if alpha == 1.0:
-        raise ValidationError("mixing law degenerates at alpha = 1")
-    q = np.asarray(q, dtype=float)
-    if np.any((q < 0.0) | (q >= 1.0)):
-        raise ValidationError("quantile level must lie in [0, 1)")
+    alpha = _number(alpha, "alpha", "(0, 1)")
+    q = _array(q, "quantile level", 1, "[0, 1)")
     s = np.sin(alpha * np.pi)
     ang = (1.0 - q) * np.pi * alpha
     val = s * np.cos(ang) / np.sin(ang) - np.cos(alpha * np.pi)
@@ -102,14 +87,10 @@ def sample_ml_scalar(alpha: float, delta: float, rng: RandomStream, size=None):
     quantile inversion. alpha = 1 reduces to delta * Z (exponential law); in
     that case only the exponential variate is consumed.
     """
-    alpha = _check_alpha(alpha)
-    delta = float(delta)
-    if not np.isfinite(delta) or delta <= 0.0:
-        raise ValidationError("delta must be positive")
+    alpha = _number(alpha, "alpha", "(0, 1]")
+    delta = _number(delta, "delta", "(0, inf)")
     scalar = size is None
-    n = 1 if scalar else int(size)
-    if n < 0:
-        raise ValidationError("size must be nonnegative")
+    n = 1 if scalar else _integer(size, "size", "[0, inf)")
     out = _ml_draw(rng.generator, alpha, delta, n)
     return float(out[0]) if scalar else out
 

@@ -13,9 +13,15 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import ValidationError
+from .errors import (
+    ValidationError,
+    _array,
+    _document,
+    _integer,
+    _json,
+    _number,
+)
 from .mlfun import MLParams, ml_matrix
 from .phasetype import GENERAL, MAX_JUMPS, PHGenerator, _absorb
 from .rng import RandomStream
@@ -45,14 +51,15 @@ class SemiMarkovSpec:
     pi: np.ndarray
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        rates = np.asarray(self.rates, dtype=float).reshape(-1)
-        pi = np.asarray(self.pi, dtype=float).reshape(-1)
+        Q = _array(self.Q, "Q", 2, "[0, inf)")
+        rates = _array(self.rates, "rates", 1, "(0, inf)").reshape(-1)
+        pi = _array(self.pi, "pi", 1, "[0, inf)").reshape(-1)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        _validate_spec(Q, rates, self.alpha, pi)
+        object.__setattr__(self, "alpha",
+                           _number(self.alpha, "alpha", "(0, 1]"))
+        _validate_spec(Q, rates, pi)
 
     @property
     def dim(self) -> int:
@@ -70,29 +77,21 @@ class SemiMarkovSpec:
 
     @staticmethod
     def from_json(text: str) -> "SemiMarkovSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"invalid JSON: {e}") from None
-        return sm_from_doc(doc)
+        return sm_from_doc(_json(text, "semi-Markov document"))
 
 
 def sm_from_doc(doc: dict) -> SemiMarkovSpec:
-    if not isinstance(doc, dict):
-        raise ValidationError("semi-Markov document must be a JSON object")
-    for key in ("Q", "rates", "alpha", "pi"):
-        if key not in doc:
-            raise ValidationError(f"semi-Markov document missing field {key!r}")
-    try:
-        Q, rates, pi = (np.asarray(doc[key], dtype=float)
-                        for key in ("Q", "rates", "pi"))
-        alpha = float(doc["alpha"])
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"non-numeric semi-Markov entries: {e}") from None
-    return SemiMarkovSpec(Q, rates, alpha, pi)
+    """Build a spec from a parsed JSON document.
+
+    Required keys: "Q" (a (p+1) x (p+1) matrix of nonnegative entries),
+    "rates" (p positive numbers), "alpha" (a number in (0, 1]) and "pi"
+    (p nonnegative numbers). Any other key is rejected.
+    """
+    doc = _document(doc, "semi-Markov document", ("Q", "rates", "alpha", "pi"))
+    return SemiMarkovSpec(doc["Q"], doc["rates"], doc["alpha"], doc["pi"])
 
 
-def _validate_spec(Q, rates, alpha, pi):
+def _validate_spec(Q, rates, pi):
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValidationError("Q must be a square matrix")
     p = Q.shape[0] - 1
@@ -100,20 +99,12 @@ def _validate_spec(Q, rates, alpha, pi):
         raise ValidationError("need at least one transient state")
     if rates.shape[0] != p or pi.shape[0] != p:
         raise ValidationError("rates and pi must have length p = Q.shape[0]-1")
-    if not np.all(np.isfinite(Q)) or np.any(Q < 0.0):
-        raise ValidationError("Q entries must be finite and nonnegative")
     if np.max(np.abs(Q.sum(axis=1) - 1.0)) > 1e-9:
         raise ValidationError("Q rows must sum to 1")
     if abs(Q[p, p] - 1.0) > 1e-12 or np.any(np.abs(Q[p, :p]) > 1e-12):
         raise ValidationError("last state of Q must be absorbing")
     if np.any(np.abs(np.diag(Q)[:p]) > 1e-12):
         raise ValidationError("transient diagonal of Q must be zero")
-    if not np.all(np.isfinite(rates)) or np.any(rates <= 0.0):
-        raise ValidationError("rates must be positive")
-    if not np.isfinite(alpha) or not 0.0 < alpha <= 1.0:
-        raise ValidationError("alpha must lie in (0, 1]")
-    if np.any(pi < 0.0) or not np.all(np.isfinite(pi)):
-        raise ValidationError("pi entries must be finite and nonnegative")
     if abs(pi.sum() - 1.0) > 1e-9:
         raise ValidationError("pi must sum to 1")
 
@@ -138,9 +129,7 @@ def transition_matrix(spec: SemiMarkovSpec, t: float) -> np.ndarray:
     absorption column is its row-sum complement, and the absorbing row is
     (0, ..., 0, 1).
     """
-    t = float(t)
-    if not np.isfinite(t) or t < 0.0:
-        raise ValidationError("time must be nonnegative and finite")
+    t = _number(t, "time", "[0, inf)")
     p = spec.dim
     gen = build_lambda(spec)
     params = MLParams(spec.alpha, 1.0)
@@ -163,9 +152,7 @@ def simulate_absorption(spec: SemiMarkovSpec, rng: RandomStream, size=None):
     valid spec absorbs with probability one.
     """
     scalar = size is None
-    n = 1 if scalar else int(size)
-    if n < 0:
-        raise ValidationError("size must be nonnegative")
+    n = 1 if scalar else _integer(size, "size", "[0, inf)")
     p = spec.dim
     alpha = spec.alpha
     delta = spec.rates ** (-1.0 / alpha)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import pmml_cdf
-from .errors import ValidationError
+from .errors import ValidationError, _array
 
 
 @dataclass(frozen=True)
@@ -17,18 +17,16 @@ class DataSeries:
     label: str = ""
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        v = _array(self.values, "values", interval="(0, inf)").reshape(-1)
         object.__setattr__(self, "values", v)
         if v.size == 0:
             raise ValidationError("values must be nonempty")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise ValidationError("values must be strictly positive and finite")
 
 
 def _values(data) -> np.ndarray:
     if isinstance(data, DataSeries):
         return data.values
-    return DataSeries(np.asarray(data, dtype=float)).values
+    return DataSeries(data).values
 
 
 def hill_curve(data) -> np.ndarray:
@@ -57,14 +55,10 @@ def exp_transform(data) -> DataSeries:
     kept in the output even though zeros are not valid observations elsewhere.
     """
     label = data.label if isinstance(data, DataSeries) else ""
-    x = np.asarray(data.values if isinstance(data, DataSeries) else data,
-                   dtype=float).reshape(-1)
+    x = _array(data.values if isinstance(data, DataSeries) else data,
+               "values", interval="[0, inf)").reshape(-1)
     if x.size == 0:
         raise ValidationError("values must be nonempty")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("values must be finite")
-    if np.any(x < 0.0):
-        raise ValidationError("values must be nonnegative")
     bad = np.nonzero(x > 700.0)[0]
     if bad.size:
         shown = bad[:20].tolist()
