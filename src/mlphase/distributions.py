@@ -38,8 +38,6 @@ from scipy.special import gamma as sc_gamma
 from .errors import ValidationError, _document, _json, _number
 from .mlfun import (
     MLParams,
-    _components,
-    _detect_uniform_bidiagonal,
     _eigenbasis,
     _ml_deriv_vec,
     _ml_vec,
@@ -47,6 +45,7 @@ from .mlfun import (
 )
 from .phasetype import (
     PHGenerator,
+    _blocks,
     _check_arg,
     _neg_T_power,
     ph_from_doc,
@@ -220,36 +219,6 @@ def _general_form(alpha, beta, ph, comps, vec, w, tol):
         params = MLParams(alpha=alpha, beta=beta, accuracy_target=tol)
         out += [left @ ml_matrix(params, Tc * wi) @ right for wi in w]
     return out
-
-
-def _blocks(ph):
-    """(weights, shapes, rates, rest) from the connected blocks of T: the
-    Erlang components of the uniform bidiagonal blocks, and the other blocks.
-
-    A uniform bidiagonal block -lam I + b N is a mixture of Erlang(k, lam):
-    entered at phase i of p, the chain moves on with probability r = b / lam
-    at each phase, so it visits k < p - i phases with probability
-    r^(k-1) (1 - r) and all p - i with r^(p-i-1). An Erlang or
-    Erlang-mixture generator has r = 1 and gives its own shapes, rates and
-    weights.
-    """
-    weights, shapes, rates, rest = [], [], [], []
-    for c in _components(ph.T):
-        ab = _detect_uniform_bidiagonal(ph.T[np.ix_(c, c)])
-        if ab is None:
-            rest.append(c)
-            continue
-        lam, p = -ab[0], len(c)
-        r = min(ab[1] / lam, 1.0)  # row sums may reach +1e-9
-        for i, mass in enumerate(ph.pi[c]):
-            for k in range(1, p - i + 1):
-                wk = mass * (r ** (k - 1) * (1.0 - r) if k < p - i
-                             else r ** (p - i - 1))
-                if wk > 0.0:
-                    weights.append(wk)
-                    shapes.append(k)
-                    rates.append(lam)
-    return weights, shapes, rates, rest
 
 
 def _dispatch_logpdf(alpha, ph, nu, x, tol):

@@ -33,7 +33,7 @@ from .phasetype import (
     make_mixture_erlang,
 )
 from .rng import RandomStream
-from .tailtools import DataSeries
+from .tailtools import _values
 
 EXPONENTIAL = "exponential"
 _STRUCTURES = (MIXTURE_ERLANG, COXIAN, EXPONENTIAL)
@@ -124,16 +124,29 @@ class FitResult:
             "nll": self.nll,
             "tail_index": self.tail_index,
             "tail_index_reciprocal": self.tail_index_reciprocal,
-            "restart_nlls": list(self.restart_nlls),
+            "restart_nlls": self.restart_nlls,
             "converged": self.converged,
             "config": asdict(self.config),
-            "seed": {"seed": self.seed[0], "spawn_key": list(self.seed[1])},
+            "seed": {"seed": self.seed[0], "spawn_key": self.seed[1]},
             "error": self.error,
         }
-        if doc["config"]["shape_grid"] is not None:
-            doc["config"]["shape_grid"] = [list(s) for s in self.config.shape_grid]
-        doc["config"]["shapes"] = list(self.config.shapes)
         return json.dumps(doc, indent=2)
+
+
+def _failed(config: FitConfig, stream: RandomStream, error: str,
+            restart_nlls=()) -> FitResult:
+    """A fit that produced no model: infinite NLL, nan tail index."""
+    return FitResult(
+        model=None,
+        nll=np.inf,
+        tail_index=np.nan,
+        tail_index_reciprocal=np.nan,
+        restart_nlls=tuple(restart_nlls),
+        converged=False,
+        config=config,
+        seed=(stream.seed, tuple(stream.spawn_key)),
+        error=error,
+    )
 
 
 def nll(model: PMMLDist, data) -> float:
@@ -142,7 +155,7 @@ def nll(model: PMMLDist, data) -> float:
     Any non-finite log-density maps to the infinite-NLL sentinel so the
     optimizer treats the iterate as rejected rather than crashing.
     """
-    x = DataSeries(data).values
+    x = _values(data)
     try:
         lp = pmml_logpdf(model, x)
     except (ValidationError, EvaluationError, FloatingPointError, OverflowError):
@@ -322,19 +335,8 @@ def _fit_single(data: np.ndarray, config: FitConfig, stream: RandomStream) -> Fi
             best = res
         trace.append(fun)
 
-    seed = (stream.seed, tuple(stream.spawn_key))
     if best is None:
-        return FitResult(
-            model=None,
-            nll=np.inf,
-            tail_index=np.nan,
-            tail_index_reciprocal=np.nan,
-            restart_nlls=tuple(trace),
-            converged=False,
-            config=config,
-            seed=seed,
-            error="all restarts diverged",
-        )
+        return _failed(config, stream, "all restarts diverged", trace)
     model = _canonical_model(_decode(best.x, config), config)
     ti = float(model.tail_index)
     return FitResult(
@@ -345,7 +347,7 @@ def _fit_single(data: np.ndarray, config: FitConfig, stream: RandomStream) -> Fi
         restart_nlls=tuple(trace),
         converged=bool(best.success),
         config=config,
-        seed=seed,
+        seed=(stream.seed, tuple(stream.spawn_key)),
         error=None,
     )
 
@@ -356,7 +358,7 @@ def fit_pmml(data, config: FitConfig, rng: RandomStream) -> FitResult:
     With shape_grid set, runs one full fit per candidate shape vector on its
     own sub-stream and returns the lowest-NLL winner.
     """
-    x = DataSeries(data).values
+    x = _values(data)
     if config.shape_grid is not None:
         return profile_shapes(x, config, rng)[0]
     return _fit_single(x, config, rng)
@@ -371,7 +373,7 @@ def profile_shapes(data, base_config: FitConfig, rng: RandomStream) -> list:
     """
     if not base_config.shape_grid:
         raise ValidationError("profile_shapes requires a nonempty shape_grid")
-    x = DataSeries(data).values
+    x = _values(data)
     results = []
     for ci, shapes in enumerate(base_config.shape_grid):
         cfg = replace(base_config, shapes=tuple(shapes), shape_grid=None)
@@ -379,19 +381,7 @@ def profile_shapes(data, base_config: FitConfig, rng: RandomStream) -> list:
         try:
             results.append(_fit_single(x, cfg, stream))
         except (ValidationError, EvaluationError) as e:
-            results.append(
-                FitResult(
-                    model=None,
-                    nll=np.inf,
-                    tail_index=np.nan,
-                    tail_index_reciprocal=np.nan,
-                    restart_nlls=(),
-                    converged=False,
-                    config=cfg,
-                    seed=(stream.seed, tuple(stream.spawn_key)),
-                    error=str(e),
-                )
-            )
+            results.append(_failed(cfg, stream, str(e)))
     order = sorted(
         range(len(results)),
         key=lambda i: (not np.isfinite(results[i].nll), results[i].nll, i),

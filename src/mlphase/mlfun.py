@@ -380,6 +380,8 @@ def ml_deriv(params: MLParams, z, k: int):
     if params.beta <= 0.0:
         raise ValidationError("beta must be positive for direct evaluation")
     za = np.asarray(z)
+    if za.dtype.kind not in "iufc":
+        raise ValidationError("argument must be a number or a numeric array")
     if not np.all(np.isfinite(za)):
         raise ValidationError("argument must be finite")
     was_real = not np.iscomplexobj(za)

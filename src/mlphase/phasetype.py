@@ -2,9 +2,10 @@
 
 A phase-type distribution is the absorption time of a Markov jump process on
 p transient states with sub-intensity matrix T and initial row vector pi.
-The exit rate vector is t = -T 1. Structured constructors (Erlang, mixtures
-of Erlangs, Coxian) tag the generator so downstream code can dispatch to
-closed forms.
+The exit rate vector is t = -T 1. The law depends only on (pi, T); the
+structured constructors (Erlang, mixtures of Erlangs, Coxian) tag a
+generator for its JSON document only. The MML densities and ph_sample both
+read _blocks, the split of T into Erlang components and other blocks.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import (
     _json,
     _number,
 )
-from .mlfun import _eigenbasis
+from .mlfun import _components, _detect_uniform_bidiagonal, _eigenbasis
 
 #: structure tags
 ERLANG = "erlang"
@@ -53,7 +54,7 @@ class PHGenerator:
     structure : str
         One of "erlang", "mixture_erlang", "coxian", "general".
     params : dict
-        Structure-specific parameters (shapes, rates, weights).
+        Structure-specific parameters for the JSON document; no law reads them.
     """
 
     pi: np.ndarray
@@ -262,6 +263,39 @@ def make_general(pi, T) -> PHGenerator:
 
 
 # ---------------------------------------------------------------------------
+# the Erlang split of T
+
+def _blocks(ph):
+    """(weights, shapes, rates, rest) from the connected blocks of T: the
+    Erlang components of the uniform bidiagonal blocks, and the other blocks.
+
+    A uniform bidiagonal block -lam I + b N is a mixture of Erlang(k, lam):
+    entered at phase i of p, the chain moves on with probability r = b / lam
+    at each phase, so it visits k < p - i phases with probability
+    r^(k-1) (1 - r) and all p - i with r^(p-i-1). An Erlang or
+    Erlang-mixture generator has r = 1 and gives its own shapes, rates and
+    weights.
+    """
+    weights, shapes, rates, rest = [], [], [], []
+    for c in _components(ph.T):
+        ab = _detect_uniform_bidiagonal(ph.T[np.ix_(c, c)])
+        if ab is None:
+            rest.append(c)
+            continue
+        lam, p = -ab[0], len(c)
+        r = min(ab[1] / lam, 1.0)  # row sums may reach +1e-9
+        for i, mass in enumerate(ph.pi[c]):
+            for k in range(1, p - i + 1):
+                wk = mass * (r ** (k - 1) * (1.0 - r) if k < p - i
+                             else r ** (p - i - 1))
+                if wk > 0.0:
+                    weights.append(wk)
+                    shapes.append(k)
+                    rates.append(lam)
+    return weights, shapes, rates, rest
+
+
+# ---------------------------------------------------------------------------
 # transforms and densities
 
 def _check_arg(x, interval=_ANY):
@@ -349,24 +383,26 @@ def ph_frac_moment(gen: PHGenerator, a: float) -> float:
 # exact simulation
 
 def ph_sample(gen: PHGenerator, rng, size=None):
-    """Exact draws of the absorption time.
+    """Exact draws of the absorption time, from (pi, T) alone.
 
-    Erlang and mixtures of Erlangs use the gamma representation directly;
-    other structures simulate the jump chain. Scalar when size is None.
+    When every block of T is uniform bidiagonal, the law is the Erlang
+    mixture that _blocks splits from T: one component index per draw (none
+    for a single component), then one gamma variate per draw. Otherwise the
+    jump chain on (pi, T) is simulated. Scalar when size is None.
     """
     scalar = size is None
     n = 1 if scalar else _integer(size, "size", "[0, inf)")
     g = rng.generator
-    if gen.structure == ERLANG:
-        out = g.gamma(gen.params["shape"], 1.0 / gen.params["rate"], n)
-    elif gen.structure == MIXTURE_ERLANG:
-        w = np.asarray(gen.params["weights"], dtype=float)
-        shapes = np.asarray(gen.params["shapes"], dtype=int)
-        rates = np.asarray(gen.params["rates"], dtype=float)
-        comp = g.choice(len(w), size=n, p=w / w.sum())
-        out = g.gamma(shapes[comp].astype(float), 1.0 / rates[comp])
-    else:
+    weights, shapes, rates, rest = _blocks(gen)
+    if rest:
         out = _ph_sample_chain(gen, g, n)
+    elif len(weights) == 1:
+        out = g.gamma(shapes[0], 1.0 / rates[0], n)
+    else:
+        w = np.array(weights)
+        comp = g.choice(len(w), size=n, p=w / w.sum())
+        out = g.gamma(np.array(shapes, dtype=float)[comp],
+                      1.0 / np.array(rates)[comp])
     return float(out[0]) if scalar else out
 
 

@@ -24,9 +24,10 @@ class DataSeries:
 
 
 def _values(data) -> np.ndarray:
-    if isinstance(data, DataSeries):
-        return data.values
-    return DataSeries(data).values
+    """The observations of data, checked even when data is a DataSeries:
+    exp_transform's output may hold zeros."""
+    return DataSeries(data.values if isinstance(data, DataSeries)
+                      else data).values
 
 
 def hill_curve(data) -> np.ndarray:

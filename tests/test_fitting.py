@@ -23,6 +23,7 @@ from mlphase import (
     sample_pmml,
 )
 from mlphase import fitting
+from mlphase.tailtools import DataSeries
 from mlphase.fitting import _decode, _n_params
 
 
@@ -63,6 +64,18 @@ def test_nll_validates_data():
         nll(model, [np.nan])
     with pytest.raises(ValidationError):
         nll(model, [])
+
+
+def test_nll_and_fit_accept_data_series():
+    # the fitter reads data as the tail tools do; a DataSeries was rejected
+    # as "values must be a numeric array"
+    model = PMMLDist(MMLDist(0.7, make_erlang(2, 1.0)), 1.5)
+    data = RandomStream(944).generator.standard_exponential(50) + 0.05
+    series = DataSeries(data, label="claims")
+    assert nll(model, series) == nll(model, data)
+    config = _expconfig(restarts=1, max_iterations=50)
+    assert (fit_pmml(series, config, RandomStream(945)).to_json()
+            == fit_pmml(data, config, RandomStream(945)).to_json())
 
 
 def test_objective_rejection_sentinel():

@@ -27,6 +27,7 @@ from mlphase import (
     mml_frac_moment,
     mml_pdf,
     ml_deriv,
+    ml_eval,
     nll,
     ph_frac_moment,
     ph_sample,
@@ -38,6 +39,7 @@ from mlphase import (
 from mlphase.cli import main
 from mlphase.fitting import FitConfig
 from mlphase.semimarkov import SemiMarkovSpec
+from mlphase.tailtools import exp_transform
 
 from conftest import ph_to_sm_spec
 
@@ -183,6 +185,13 @@ LIBRARY_CASES = {
     "hill_curve_str": lambda: hill_curve(["a", "b", "c"]),
     "mml_pdf_2d": lambda: mml_pdf(ERLANG, [[1.0, 2.0], [3.0, 4.0]]),
     "split_str": lambda: RandomStream(1).split("a"),
+    # a bool read as 1, a string or None an untyped TypeError, at the parent
+    "ml_eval_bool": lambda: ml_eval(MLParams(0.5), True),
+    "ml_eval_str": lambda: ml_eval(MLParams(0.5), "a"),
+    "ml_eval_none": lambda: ml_eval(MLParams(0.5), None),
+    "ml_deriv_bool_array": lambda: ml_deriv(MLParams(0.5), [True, False], 1),
+    # exp_transform keeps boundary zeros, which gave H_2 = inf at the parent
+    "hill_curve_zero_series": lambda: hill_curve(exp_transform([0.0, 1.0, 2.0])),
 }
 
 

@@ -231,6 +231,70 @@ def test_sample_coxian_late_entry_ks():
     assert stat < 1.62762 / math.sqrt(n)
 
 
+def _erlang_beside_coxian():
+    T = np.zeros((4, 4))
+    T[:2, :2] = make_erlang(2, 1.5).T
+    T[2:, 2:] = make_coxian((1.0, 0.0), (1.0, 3.0)).T
+    return make_general((0.5, 0.0, 0.25, 0.25), T)
+
+
+# each generator is drawn from the law of its (pi, T), whatever its tag says
+SAMPLED_LAWS = {
+    # the tag's params describe Exp(100), T describes Exp(1)
+    "erlang_tag_wrong_rate": lambda: PHGenerator(
+        [1.0], [[-1.0]], "erlang", {"shape": 1, "rate": 100.0}),
+    # the tag has no params at all
+    "erlang_tag_no_params": lambda: PHGenerator([1.0], [[-1.0]], "erlang"),
+    # a Coxian T under a mixture tag
+    "mixture_tag_on_coxian": lambda: PHGenerator(
+        [0.5, 0.5], make_coxian((0.5, 0.5), (1.0, 3.0)).T, "mixture_erlang",
+        {"weights": [1.0], "shapes": [2], "rates": [10.0]}),
+    # uniform bidiagonal with r = 1/2 and late entry: an Erlang mixture with
+    # weights other than pi
+    "bidiagonal_late_entry": lambda: make_general(
+        (0.5, 0.5), [[-2.0, 1.0], [0.0, -2.0]]),
+    # one block is not uniform bidiagonal, so the whole T takes the chain
+    "erlang_beside_coxian": _erlang_beside_coxian,
+}
+
+
+@pytest.mark.parametrize("make", SAMPLED_LAWS.values(), ids=SAMPLED_LAWS.keys())
+def test_sample_law_of_T_ks(make):
+    g = make()
+    n = 20_000
+    x = ph_sample(g, RandomStream(15), size=n)
+    stat = kstest(x, lambda v: ph_cdf(g, v)).statistic
+    assert stat < 1.62762 / math.sqrt(n)
+
+
+def test_sample_chain_beside_a_general_block(monkeypatch):
+    import mlphase.phasetype as phasetype
+
+    chained = []
+    chain = phasetype._ph_sample_chain
+
+    def counted(*args):
+        chained.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(phasetype, "_ph_sample_chain", counted)
+    ph_sample(_erlang_beside_coxian(), RandomStream(16), size=5)
+    assert chained
+
+
+@pytest.mark.parametrize("g", [
+    make_erlang(4, 2.0),
+    make_erlang(1, 0.5),
+    dict(standard_models())["mix3_a09"].ph,
+    make_mixture_erlang((0.5, 0.0, 0.5), (2, 3, 1), (1.0, 2.0, 3.0)),
+], ids=["erlang4", "erlang1", "mix3", "mix_zero_weight"])
+def test_untagged_draws_match_tagged(g):
+    # the draws depend only on (pi, T), so stripping the tag moves no bit
+    a = ph_sample(g, RandomStream(17), size=1000)
+    b = ph_sample(g.as_general(), RandomStream(17), size=1000)
+    assert np.array_equal(a, b)
+
+
 def test_sample_scalar_and_reproducible():
     g = make_erlang(2, 1.0)
     a = ph_sample(g, RandomStream(5))
