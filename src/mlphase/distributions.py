@@ -45,7 +45,6 @@ from .mlfun import (
 )
 from .phasetype import (
     PHGenerator,
-    _blocks,
     _check_arg,
     _neg_T_power,
     ph_from_doc,
@@ -135,17 +134,30 @@ def _ret(vals, scalar):
 # c = nu * alpha applied to x inside E, and returns log f (density cores
 # include the nu x^{nu alpha - 1} prefactor) or log S.
 
-def _erlang_logpdf(alpha, p, rates, nu, x, tol):
+def _erlang_logpdf(alpha, p, rates, nu, x, tol, score=False):
     """Erlang(p, lam) log-densities, one row per lam in rates, from one
-    scalar-ML call over every rate."""
+    scalar-ML call over every rate.
+
+    With score, also the rows D = d log f / d log lam
+    = p - u E^{(p)}(-u) / E^{(p-1)}(-u), with E = E_{alpha,alpha} and
+    u = lam x^{nu alpha}, from one more call at order p: f = (nu/x) h_p(u)
+    with h_p(u) = u^p E^{(p-1)}(-u) / (p-1)!, and u h_p'(u) =
+    p (h_p - h_{p+1}). Then d log f / d log nu = 1 + nu alpha log(x) D.
+    """
     c = nu * alpha
     w = np.concatenate([_power_arg(x, c, lam) for lam in rates])
-    ds = _ml_deriv_vec(alpha, alpha, -w.astype(complex), p - 1, tol).real
+    z = -w.astype(complex)
+    ds = _ml_deriv_vec(alpha, alpha, z, p - 1, tol).real
     ds = np.maximum(ds, 0.0).reshape(len(rates), len(x))
     with np.errstate(divide="ignore"):
         logx = (c * p - 1.0) * np.log(x)
-        return np.array([math.log(nu) + p * math.log(lam) - gammaln(p)
+        logf = np.array([math.log(nu) + p * math.log(lam) - gammaln(p)
                          + logx + np.log(d) for lam, d in zip(rates, ds)])
+    if not score:
+        return logf
+    dn = _ml_deriv_vec(alpha, alpha, z, p, tol).real.reshape(ds.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return logf, p - w.reshape(ds.shape) * dn / ds
 
 
 def _erlang_logsf(alpha, shapes, rates, nu, x, tol):
@@ -169,21 +181,55 @@ def _erlang_logsf(alpha, shapes, rates, nu, x, tol):
     return np.array([logsumexp(t, axis=0) for t in terms])
 
 
-def _mixture_logpdf(alpha, weights, shapes, rates, nu, x, tol):
+def _mixture_logpdf(alpha, weights, shapes, rates, nu, x, tol, score=False):
+    """log f of an Erlang mixture. With score, (log f, D, r): log f the same
+    bits, and per component i (rows) the score D_i of _erlang_logpdf and the
+    responsibility r_i = w_i f_i / f."""
     shapes = [int(p) for p in shapes]
     rates = [float(lam) for lam in rates]
     comp = np.empty((len(weights), len(x)))
+    scores = np.empty_like(comp)
     for p in sorted(set(shapes)):
         blocks = [i for i, q in enumerate(shapes) if q == p]
-        comp[blocks] = _erlang_logpdf(alpha, p, [rates[i] for i in blocks],
-                                      nu, x, tol)
-    return logsumexp(comp, axis=0, b=np.asarray(weights)[:, None])
+        rows = _erlang_logpdf(alpha, p, [rates[i] for i in blocks], nu, x,
+                              tol, score)
+        if score:
+            comp[blocks], scores[blocks] = rows
+        else:
+            comp[blocks] = rows
+    w = np.asarray(weights)[:, None]
+    logf = logsumexp(comp, axis=0, b=w)
+    if not score:
+        return logf
+    with np.errstate(invalid="ignore"):  # f = 0 leaves r undefined
+        return logf, scores, w * np.exp(comp - logf)
 
 
 def _mixture_logsf(alpha, weights, shapes, rates, nu, x, tol):
     comp = _erlang_logsf(alpha, [int(p) for p in shapes],
                          [float(lam) for lam in rates], nu, x, tol)
     return logsumexp(comp, axis=0, b=np.asarray(weights)[:, None])
+
+
+def _logpdf_partials(d, x):
+    """(log f, rows) for a law whose T splits into Erlang components alone
+    (PHGenerator._blocks), at x > 0; None for any other T.
+
+    log f is mml_logpdf's, bit for bit. The rows are its partials at fixed
+    alpha, per point: d/d log lam_i = r_i D_i for each component i of the
+    split, then d/d log w_i = r_i with the weights taken as free, then
+    d/d log nu = 1 + nu alpha log x sum_i r_i D_i (_mixture_logpdf's D, r).
+    """
+    alpha, ph, nu = _unpack(d)
+    weights, shapes, rates, rest = ph._blocks
+    if rest:
+        return None
+    logf, scores, r = _mixture_logpdf(alpha, weights, shapes, rates, nu, x,
+                                      _TOL, score=True)
+    # a component whose density underflowed has r = 0 and no finite score
+    with np.errstate(invalid="ignore"):
+        rd = np.where(r > 0.0, r * scores, 0.0)
+    return logf, np.vstack([rd, r, 1.0 + nu * alpha * np.log(x) * rd.sum(0)])
 
 
 # only bench/tracer.py reads this: it classes the spans of a tagged Coxian
@@ -222,7 +268,7 @@ def _general_form(alpha, beta, ph, comps, vec, w, tol):
 
 
 def _dispatch_logpdf(alpha, ph, nu, x, tol):
-    weights, shapes, rates, rest = _blocks(ph)
+    weights, shapes, rates, rest = ph._blocks
     parts = []
     if len(weights):
         parts.append(_mixture_logpdf(alpha, weights, shapes, rates, nu, x,
@@ -238,7 +284,7 @@ def _dispatch_logpdf(alpha, ph, nu, x, tol):
 
 
 def _dispatch_logsf(alpha, ph, nu, x, tol):
-    weights, shapes, rates, rest = _blocks(ph)
+    weights, shapes, rates, rest = ph._blocks
     parts = []
     if len(weights):
         parts.append(_mixture_logsf(alpha, weights, shapes, rates, nu, x,

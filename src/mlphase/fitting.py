@@ -1,11 +1,13 @@
 """Maximum-likelihood fitting of PMML models with structured PH components.
 
-The optimizer is a multi-start L-BFGS-B, with scipy's two-point
-finite-difference gradient, over an unconstrained reparametrization: alpha
-through a logistic map into (0,1), nu and rates through log maps, mixture
-weights through softmax. Restarts draw jittered initial points from split
-sub-streams, so results are deterministic per seed and adding restarts can
-only improve the returned NLL.
+The optimizer is a multi-start L-BFGS-B over an unconstrained
+reparametrization: alpha through a logistic map into (0,1), nu and rates
+through log maps, mixture weights through softmax. Its gradient is analytic
+in the rates, weights and nu of a mixture-Erlang or exponential iterate
+(nll's partials, chained through the reparametrization); the alpha row, and
+every row of a Coxian iterate, is a forward difference. Restarts draw
+jittered initial points from split sub-streams, so results are deterministic
+per seed and adding restarts can only improve the returned NLL.
 """
 from __future__ import annotations
 
@@ -15,7 +17,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .distributions import MMLDist, PMMLDist, dist_to_doc, pmml_logpdf
+from .distributions import (
+    MMLDist,
+    PMMLDist,
+    _logpdf_partials,
+    dist_to_doc,
+    pmml_logpdf,
+)
 from .errors import (
     EvaluationError,
     ValidationError,
@@ -57,10 +65,13 @@ class FitConfig:
     pinned nu > 0.
 
     Each restart is one L-BFGS-B run of at most max_iterations iterations
-    and 2 * max_iterations * (n_params + 1) NLL evaluations, gradient
-    evaluations included. convergence_tol is its relative ftol: a restart
-    stops once an iteration lowers the NLL by at most convergence_tol *
-    max(|NLL|, 1).
+    and 2 * max_iterations objective evaluations. An evaluation makes one
+    NLL pass, with partials where they are analytic, plus one pass per
+    forward-difference row: one for a fitted alpha, or n_params for an
+    iterate without partials. So a restart makes at most
+    2 * max_iterations * (n_params + 1) NLL passes. convergence_tol is its
+    relative ftol: a restart stops once an iteration lowers the NLL by at
+    most convergence_tol * max(|NLL|, 1).
     """
 
     structure: str = MIXTURE_ERLANG
@@ -149,19 +160,32 @@ def _failed(config: FitConfig, stream: RandomStream, error: str,
     )
 
 
-def nll(model: PMMLDist, data) -> float:
+def nll(model: PMMLDist, data, partials: dict | None = None) -> float:
     """Negative log-likelihood -sum log pmml_pdf(x_i).
 
     Any non-finite log-density maps to the infinite-NLL sentinel so the
     optimizer treats the iterate as rejected rather than crashing.
+
+    partials, when a dict, receives the NLL's partial derivatives at fixed
+    alpha if T splits into Erlang components alone (PHGenerator._blocks) and
+    the NLL is finite: "log_rates" and "log_weights" (the weights taken as
+    free), one entry per component of the split, and "log_nu". Otherwise it
+    is left as it is. The returned value is the same either way, bit for bit.
     """
     x = _values(data)
     try:
-        lp = pmml_logpdf(model, x)
+        scored = None if partials is None else _logpdf_partials(model, x)
+        lp = pmml_logpdf(model, x) if scored is None else scored[0]
     except (ValidationError, EvaluationError, FloatingPointError, OverflowError):
         return np.inf
     s = np.sum(lp)
-    return float(-s) if np.isfinite(s) else np.inf
+    if not np.isfinite(s):
+        return np.inf
+    if scored is not None:
+        g = -scored[1].sum(axis=1)
+        m = len(g) // 2
+        partials.update(log_rates=g[:m], log_weights=g[m:-1], log_nu=g[-1])
+    return float(-s)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +205,6 @@ def _layout(config: FitConfig):
     v = a + config.fit_nu
     w = v + m - 1
     return m, slice(0, a), slice(a, v), slice(v, w), slice(w, w + m)
-
-
-def _n_params(config: FitConfig) -> int:
-    return _layout(config)[4].stop
 
 
 def _sigmoid(x: float) -> float:
@@ -275,13 +295,55 @@ def _jitter(theta0: np.ndarray, config: FitConfig, stream: RandomStream) -> np.n
 # ---------------------------------------------------------------------------
 # optimization
 
-def _objective(data: np.ndarray, config: FitConfig):
+_REJECTED = (ValidationError, EvaluationError, OverflowError)
+
+
+def _nll_at(theta: np.ndarray, data: np.ndarray, config: FitConfig) -> float:
+    """nll of the decoded iterate; inf where _decode rejects it."""
+    try:
+        model = _decode(theta, config)
+    except _REJECTED:
+        return np.inf
+    return nll(model, data)
+
+
+def _objective(data: np.ndarray, config: FitConfig, wall: float):
+    """theta -> (NLL, gradient); an NLL that is not finite scores wall.
+
+    The log-rate, softmax and log-nu rows come from nll's partials when the
+    decoded law splits into one Erlang component per configured block: a
+    mixture-Erlang or exponential iterate whose weights are all positive.
+    The logit-alpha row, and every row of any other iterate (every Coxian
+    one), is a forward difference with the step of scipy's L-BFGS-B,
+    h = (theta_k + 1e-8) - theta_k. A rejected iterate has a zero gradient.
+    """
+    _, sa, sn, sw, sr = _layout(config)
+    split = {MIXTURE_ERLANG: config.shapes, EXPONENTIAL: (1,)}.get(
+        config.structure)
+
     def obj(theta):
+        grad = np.zeros(len(theta))
         try:
             model = _decode(theta, config)
-        except (ValidationError, EvaluationError, OverflowError):
-            return np.inf
-        return nll(model, data)
+        except _REJECTED:
+            return wall, grad
+        weights, shapes, _, rest = model.ph._blocks
+        partials = {} if shapes == split and not rest else None
+        f = nll(model, data, partials)
+        if not np.isfinite(f):
+            return wall, grad
+        if partials:
+            grad[sr] = partials["log_rates"]
+            g = partials["log_weights"]
+            grad[sw] = g[1:] - np.asarray(weights[1:]) * g.sum()
+            grad[sn] = partials["log_nu"]
+        for k in range(sa.start, sa.stop) if partials else range(len(theta)):
+            h = (theta[k] + 1e-8) - theta[k]
+            step = theta.copy()
+            step[k] += h
+            fk = _nll_at(step, data, config)
+            grad[k] = ((fk if np.isfinite(fk) else wall) - f) / h
+        return f, grad
 
     return obj
 
@@ -300,9 +362,8 @@ def _canonical_model(model: PMMLDist, config: FitConfig):
 
 
 def _fit_single(data: np.ndarray, config: FitConfig, stream: RandomStream) -> FitResult:
-    obj = _objective(data, config)
     theta0 = _initial_point(data, config)
-    fbase = obj(theta0)
+    fbase = _nll_at(theta0, data, config)
     fscale = 1.0 + (abs(fbase) if np.isfinite(fbase) else float(len(data)))
     # L-BFGS-B ends its line search, reporting success, at the first +inf
     # probe. Rejected iterates score a finite wall instead, sqrt(1/eps)
@@ -310,23 +371,20 @@ def _fit_single(data: np.ndarray, config: FitConfig, stream: RandomStream) -> Fi
     # low enough that NLL differences still count beside it in the line
     # search's interpolation, so it backtracks.
     reject = fscale / np.sqrt(np.finfo(float).eps)
-    ndim = _n_params(config)
-
-    def fobj(theta):
-        f = obj(theta)
-        return f if np.isfinite(f) else reject
+    obj = _objective(data, config, reject)
 
     best, trace = None, []
     for i in range(config.restarts):
         start = theta0 if i == 0 else _jitter(theta0, config, stream.child(i))
         with np.errstate(invalid="ignore"):
             res = minimize(
-                fobj,
+                obj,
                 start,
+                jac=True,
                 method="L-BFGS-B",
                 options=dict(
                     maxiter=config.max_iterations,
-                    maxfun=2 * config.max_iterations * (ndim + 1),
+                    maxfun=2 * config.max_iterations,
                     ftol=config.convergence_tol,
                 ),
             )

@@ -4,13 +4,15 @@ A phase-type distribution is the absorption time of a Markov jump process on
 p transient states with sub-intensity matrix T and initial row vector pi.
 The exit rate vector is t = -T 1. The law depends only on (pi, T); the
 structured constructors (Erlang, mixtures of Erlangs, Coxian) tag a
-generator for its JSON document only. The MML densities and ph_sample both
-read _blocks, the split of T into Erlang components and other blocks.
+generator for its JSON document only. The MML densities, their gradient
+and ph_sample all read PHGenerator._blocks, the split of T into Erlang
+components and other blocks, which each generator computes once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -44,6 +46,8 @@ MAX_JUMPS = 10_000_000
 class PHGenerator:
     """Initial distribution and sub-intensity matrix of a phase-type law.
 
+    pi and T are read-only copies of the arrays passed in.
+
     Attributes
     ----------
     pi : ndarray, shape (p,)
@@ -63,10 +67,12 @@ class PHGenerator:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        pi = _array(self.pi, "pi", 1).reshape(-1)
-        T = _array(self.T, "T", 2)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "T", T)
+        # read-only copies: _blocks caches the split of this T
+        pi = np.array(_array(self.pi, "pi", 1).reshape(-1))
+        T = np.array(_array(self.T, "T", 2))
+        for a, name in ((pi, "pi"), (T, "T")):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         _validate_generator(pi, T)
         if self.structure not in (ERLANG, MIXTURE_ERLANG, COXIAN, GENERAL):
             raise ValidationError(f"unknown structure tag {self.structure!r}")
@@ -80,9 +86,40 @@ class PHGenerator:
         """Exit rate vector t = -T 1."""
         return -self.T.sum(axis=1)
 
+    @cached_property
+    def _blocks(self):
+        """(weights, shapes, rates, rest) from the connected blocks of T: the
+        Erlang components of the uniform bidiagonal blocks, and the other
+        blocks. Computed once per generator, on first use, as tuples.
+
+        A uniform bidiagonal block -lam I + b N is a mixture of Erlang(k, lam):
+        entered at phase i of p, the chain moves on with probability
+        r = b / lam at each phase, so it visits k < p - i phases with
+        probability r^(k-1) (1 - r) and all p - i with r^(p-i-1). An Erlang
+        or Erlang-mixture generator has r = 1 and gives its own shapes,
+        rates and weights, one component per block with positive weight.
+        """
+        weights, shapes, rates, rest = [], [], [], []
+        for c in _components(self.T):
+            ab = _detect_uniform_bidiagonal(self.T[np.ix_(c, c)])
+            if ab is None:
+                rest.append(c)
+                continue
+            lam, p = -ab[0], len(c)
+            r = min(ab[1] / lam, 1.0)  # row sums may reach +1e-9
+            for i, mass in enumerate(self.pi[c]):
+                for k in range(1, p - i + 1):
+                    wk = mass * (r ** (k - 1) * (1.0 - r) if k < p - i
+                                 else r ** (p - i - 1))
+                    if wk > 0.0:
+                        weights.append(wk)
+                        shapes.append(k)
+                        rates.append(lam)
+        return tuple(weights), tuple(shapes), tuple(rates), tuple(rest)
+
     def as_general(self) -> "PHGenerator":
         """Same generator with the structure tag stripped."""
-        return PHGenerator(self.pi.copy(), self.T.copy(), GENERAL, {})
+        return PHGenerator(self.pi, self.T, GENERAL, {})
 
     def to_json(self) -> str:
         doc = {
@@ -263,39 +300,6 @@ def make_general(pi, T) -> PHGenerator:
 
 
 # ---------------------------------------------------------------------------
-# the Erlang split of T
-
-def _blocks(ph):
-    """(weights, shapes, rates, rest) from the connected blocks of T: the
-    Erlang components of the uniform bidiagonal blocks, and the other blocks.
-
-    A uniform bidiagonal block -lam I + b N is a mixture of Erlang(k, lam):
-    entered at phase i of p, the chain moves on with probability r = b / lam
-    at each phase, so it visits k < p - i phases with probability
-    r^(k-1) (1 - r) and all p - i with r^(p-i-1). An Erlang or
-    Erlang-mixture generator has r = 1 and gives its own shapes, rates and
-    weights.
-    """
-    weights, shapes, rates, rest = [], [], [], []
-    for c in _components(ph.T):
-        ab = _detect_uniform_bidiagonal(ph.T[np.ix_(c, c)])
-        if ab is None:
-            rest.append(c)
-            continue
-        lam, p = -ab[0], len(c)
-        r = min(ab[1] / lam, 1.0)  # row sums may reach +1e-9
-        for i, mass in enumerate(ph.pi[c]):
-            for k in range(1, p - i + 1):
-                wk = mass * (r ** (k - 1) * (1.0 - r) if k < p - i
-                             else r ** (p - i - 1))
-                if wk > 0.0:
-                    weights.append(wk)
-                    shapes.append(k)
-                    rates.append(lam)
-    return weights, shapes, rates, rest
-
-
-# ---------------------------------------------------------------------------
 # transforms and densities
 
 def _check_arg(x, interval=_ANY):
@@ -393,7 +397,7 @@ def ph_sample(gen: PHGenerator, rng, size=None):
     scalar = size is None
     n = 1 if scalar else _integer(size, "size", "[0, inf)")
     g = rng.generator
-    weights, shapes, rates, rest = _blocks(gen)
+    weights, shapes, rates, rest = gen._blocks
     if rest:
         out = _ph_sample_chain(gen, g, n)
     elif len(weights) == 1:

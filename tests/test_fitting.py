@@ -24,7 +24,7 @@ from mlphase import (
 )
 from mlphase import fitting
 from mlphase.tailtools import DataSeries
-from mlphase.fitting import _decode, _n_params
+from mlphase.fitting import _decode, _layout, _nll_at, _objective
 
 
 def _expconfig(**kw):
@@ -79,17 +79,90 @@ def test_nll_and_fit_accept_data_series():
 
 
 def test_objective_rejection_sentinel():
-    # infeasible iterates (here: colliding Coxian rates) must score +inf
-    # instead of raising; the fitter turns that into a finite wall that its
-    # line search backs away from
-    from mlphase.fitting import _objective
-
+    # infeasible iterates (here: colliding Coxian rates) must score the
+    # wall, +inf here, with a zero gradient instead of raising; the fitter
+    # passes a finite wall that its line search backs away from
     config = FitConfig(structure="coxian", dimension=2, fit_alpha=False, fit_nu=False)
-    obj = _objective(np.array([0.5, 1.5]), config)
+    obj = _objective(np.array([0.5, 1.5]), config, np.inf)
     theta_bad = np.array([0.0, math.log(2.0), math.log(2.0)])
-    assert obj(theta_bad) == np.inf
+    f, grad = obj(theta_bad)
+    assert f == np.inf and not grad.any()
     theta_ok = np.array([0.0, math.log(1.0), math.log(2.0)])
-    assert np.isfinite(obj(theta_ok))
+    assert np.isfinite(obj(theta_ok)[0])
+
+
+# the arguments lam x^(nu alpha) of these points reach the series (below 1),
+# the contour and the asymptotic expansion (beyond 7.8 at alpha = 0.5, 40 at
+# alpha = 0.9) for rates near 1
+_GRAD_X = np.geomspace(1e-3, 1e4, 40)
+
+
+@pytest.mark.parametrize("fit_nu", [False, True], ids=["nu_pinned", "nu_free"])
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
+# a shape-9 component takes its score from order 9, one past the k = 8 that
+# the narrowed off-pole contour strip is tuned for
+@pytest.mark.parametrize("shapes", [(1,), (2, 1), (3, 3, 3), (9, 2)])
+def test_analytic_gradient_matches_central_differences(monkeypatch, shapes,
+                                                      alpha, fit_nu):
+    # with alpha pinned every row of the gradient comes from nll's partials
+    from mlphase import mlfun
+
+    config = FitConfig(structure="mixture_erlang", shapes=shapes,
+                       fit_alpha=False, pinned_alpha=alpha, fit_nu=fit_nu,
+                       pinned_nu=1.3)
+    # at alpha = 1 the law is phase-type, and its log-density underflows
+    # to -inf well before x = 1e4 (the far-tail underflow of the Erlang cores)
+    x = _GRAD_X if alpha < 1.0 else _GRAD_X[_GRAD_X <= 30.0]
+    m = len(shapes)
+    theta = np.concatenate([[0.2] * fit_nu, np.linspace(-0.4, 0.4, m - 1),
+                            np.linspace(-1.0, 1.0, m)])
+    regimes = set()
+    for name in ("_series_vec", "_contour_offpole_vec", "_asymp_vec"):
+        def spy(*args, _name=name, _fn=getattr(mlfun, name)):
+            regimes.add(_name)
+            return _fn(*args)
+        monkeypatch.setattr(mlfun, name, spy)
+    f, grad = _objective(x, config, np.inf)(theta)
+    if alpha < 1.0:
+        assert regimes == {"_series_vec", "_contour_offpole_vec", "_asymp_vec"}
+    h = 1e-5
+    central = np.array([
+        (_nll_at(theta + e, x, config)
+         - _nll_at(theta - e, x, config)) / (2 * h)
+        for e in h * np.eye(len(theta))])
+    assert np.all(np.abs(grad - central)
+                  <= 1e-6 * np.maximum(np.abs(central), 1.0))
+    # requesting partials leaves the value bit-identical
+    model = _decode(theta, config)
+    partials = {}
+    assert nll(model, x, partials) == nll(model, x) == f
+    assert set(partials) == {"log_rates", "log_weights", "log_nu"}
+
+
+@pytest.mark.parametrize("config, theta", [
+    (FitConfig(structure="coxian", dimension=3),
+     np.array([0.5, 0.1, 0.3, -0.2, -1.0, 0.2, 1.0])),
+    # the first weight underflows to 0, so the split has one component
+    (FitConfig(structure="mixture_erlang", shapes=(2, 1)),
+     np.array([0.5, 0.1, 800.0, -1.0, 0.2])),
+], ids=["coxian", "underflowed_weight"])
+def test_gradient_falls_back_to_forward_differences(monkeypatch, config,
+                                                    theta):
+    requested = []
+    true_nll = fitting.nll
+
+    def spy(model, x, partials=None):
+        requested.append(partials is not None)
+        return true_nll(model, x, partials)
+
+    monkeypatch.setattr(fitting, "nll", spy)
+    f, grad = _objective(_GRAD_X, config, np.inf)(theta)
+    assert not any(requested) and len(requested) == len(theta) + 1
+    for k in range(len(theta)):
+        step = theta.copy()
+        step[k] += (theta[k] + 1e-8) - theta[k]
+        assert grad[k] == ((_nll_at(step, _GRAD_X, config) - f)
+                           / (step[k] - theta[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +198,7 @@ def test_reparametrization_soundness(seed, structure, fit_alpha, fit_nu):
     else:
         config = FitConfig(structure=structure, fit_alpha=fit_alpha, fit_nu=fit_nu)
     rng = np.random.default_rng(seed)
-    theta = rng.normal(0.0, 3.0, _n_params(config))
+    theta = rng.normal(0.0, 3.0, _layout(config)[4].stop)
     try:
         model = _decode(theta, config)
     except ValidationError:
@@ -196,7 +269,9 @@ def test_rejected_iterates_backtrack(monkeypatch, start):
     true_nll = fitting.nll
     monkeypatch.setattr(
         fitting, "nll",
-        lambda model, x: np.inf if model.ph.params["rate"] > 1.5 * mle else true_nll(model, x))
+        lambda model, x, partials=None: (
+            np.inf if model.ph.params["rate"] > 1.5 * mle
+            else true_nll(model, x, partials)))
     monkeypatch.setattr(fitting, "_initial_point",
                         lambda d, c: np.array([math.log(start * mle)]))
     res = fit_pmml(data, _expconfig(restarts=1), RandomStream(931))
@@ -214,9 +289,9 @@ def test_trimodal_fit_evaluation_budget(monkeypatch):
     calls = []
     true_nll = fitting.nll
 
-    def counted(model, x):
+    def counted(model, x, partials=None):
         calls.append(1)
-        return true_nll(model, x)
+        return true_nll(model, x, partials)
 
     monkeypatch.setattr(fitting, "nll", counted)
     res = fit_pmml(data, config, RandomStream(7100))

@@ -305,6 +305,45 @@ def test_sample_scalar_and_reproducible():
     assert np.array_equal(xs, ys)
 
 
+@pytest.mark.parametrize("model", ["mix3_a09", "cox4_a07"])
+def test_split_computed_once_per_generator(monkeypatch, model):
+    # draws, densities and survivals all read one split of T per generator
+    import mlphase.phasetype as phasetype
+    from mlphase import mml_pdf, mml_sf
+
+    found = []
+    components = phasetype._components
+
+    def counted(T):
+        found.append(T)
+        return components(T)
+
+    monkeypatch.setattr(phasetype, "_components", counted)
+    d = dict(standard_models())[model]
+    d = type(d)(d.alpha, PHGenerator(d.ph.pi, d.ph.T))
+    stream = RandomStream(18)
+    for _ in range(1000):
+        ph_sample(d.ph, stream)
+    mml_pdf(d, [0.5, 2.0])
+    mml_sf(d, [0.5, 2.0])
+    assert len(found) == 1
+
+
+def test_generator_arrays_are_read_only_copies():
+    # the cached split cannot go stale: neither the caller's arrays nor the
+    # generator's own can change the T it was computed from
+    pi, T = np.array([0.4, 0.6]), np.array([[-2.0, 2.0], [0.0, -2.0]])
+    gen = PHGenerator(pi, T)
+    blocks = gen._blocks
+    T[0, 1], pi[0] = 1.0, 0.0
+    assert gen.T[0, 1] == 2.0 and gen.pi[0] == 0.4
+    with pytest.raises(ValueError):
+        gen.T[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        gen.pi[0] = 0.0
+    assert gen._blocks == blocks == PHGenerator(gen.pi, gen.T)._blocks
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
