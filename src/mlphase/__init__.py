@@ -1,5 +1,12 @@
 """Matrix Mittag-Leffler distributions: special functions, phase-type
-structure, sampling, semi-Markov simulation, and likelihood fitting."""
+structure, sampling, semi-Markov simulation, and likelihood fitting.
+
+Importing the package loads numpy and scipy.special only. The functions
+that need more import it on first call: fit_pmml loads scipy.optimize;
+ph_pdf, ph_cdf and ph_frac_moment's fallback for a T without a usable
+eigenbasis load scipy.linalg; ml_matrix's multiprecision series loads
+mpmath. So a process that never fits never pays for the optimizer.
+"""
 
 from .mlfun import MLParams, ml_deriv, ml_eval, ml_matrix
 from .phasetype import (

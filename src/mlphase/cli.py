@@ -93,12 +93,11 @@ def _parse_fields(line: str):
     return [f.strip() for f in line.split(",")]
 
 
-def _is_number(tok: str) -> bool:
+def _parse_float(tok: str) -> float | None:
     try:
-        float(tok)
-        return True
+        return float(tok)
     except ValueError:
-        return False
+        return None
 
 
 def _ingest(path: str, column: str | None) -> np.ndarray:
@@ -113,37 +112,29 @@ def _ingest(path: str, column: str | None) -> np.ndarray:
         raise ValidationError(f"{path}: no data rows")
 
     col = 0
-    start = 0
-    first = rows[0][1]
-    if column is not None:
+    named = column is not None
+    if named:
+        first = rows[0][1]
         if column not in first:
             raise ValidationError(f"{path}: no column named {column!r}")
         col = first.index(column)
-        start = 1
-    elif not _is_number(first[0]):
-        start = 1
+    # each data token is parsed once; a first row whose token does not
+    # parse is the auto-detected header
+    parsed = [(lineno, _parse_float(fields[col]) if col < len(fields) else None)
+              for lineno, fields in (rows[1:] if named else rows)]
+    if not named and parsed[0][1] is None:
+        parsed = parsed[1:]
 
-    values = []
-    bad = []
-    for lineno, fields in rows[start:]:
-        tok = fields[col] if col < len(fields) else ""
-        if not _is_number(tok):
-            bad.append(lineno)
-            continue
-        v = float(tok)
-        if not np.isfinite(v) or v <= 0.0:
-            bad.append(lineno)
-        else:
-            values.append(v)
+    bad = [lineno for lineno, v in parsed if v is None or not 0.0 < v < np.inf]
     if bad:
         shown = bad[:20]
         more = f" and {len(bad) - 20} more" if len(bad) > 20 else ""
         raise ValidationError(
             f"{path}: nonpositive or unparseable values at lines {shown}{more}"
         )
-    if not values:
+    if not parsed:
         raise ValidationError(f"{path}: no data rows")
-    return np.asarray(values, dtype=float)
+    return np.asarray([v for _, v in parsed], dtype=float)
 
 
 def _prepare_data(args) -> np.ndarray:

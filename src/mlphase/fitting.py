@@ -15,7 +15,6 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .distributions import (
     MMLDist,
@@ -362,6 +361,8 @@ def _canonical_model(model: PMMLDist, config: FitConfig):
 
 
 def _fit_single(data: np.ndarray, config: FitConfig, stream: RandomStream) -> FitResult:
+    from scipy.optimize import minimize
+
     theta0 = _initial_point(data, config)
     fbase = _nll_at(theta0, data, config)
     fscale = 1.0 + (abs(fbase) if np.isfinite(fbase) else float(len(data)))

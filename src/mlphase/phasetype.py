@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gamma as sc_gamma
 
 from .errors import (
@@ -311,6 +310,8 @@ def _check_arg(x, interval=_ANY):
 
 def ph_pdf(gen: PHGenerator, x) -> np.ndarray:
     """Density pi expm(Tx) t, vectorized over x."""
+    from scipy.linalg import expm
+
     xs, scalar = _check_arg(x)
     t = gen.exit_vector
     out = np.empty_like(xs)
@@ -324,6 +325,8 @@ def ph_pdf(gen: PHGenerator, x) -> np.ndarray:
 
 def ph_cdf(gen: PHGenerator, x) -> np.ndarray:
     """Distribution function 1 - pi expm(Tx) 1, vectorized over x."""
+    from scipy.linalg import expm
+
     xs, scalar = _check_arg(x)
     ones = np.ones(gen.dim)
     out = np.empty_like(xs)
