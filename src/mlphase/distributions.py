@@ -146,8 +146,7 @@ def _erlang_logpdf(alpha, p, rates, nu, x, tol, score=False):
     """
     c = nu * alpha
     w = np.concatenate([_power_arg(x, c, lam) for lam in rates])
-    z = -w.astype(complex)
-    ds = _ml_deriv_vec(alpha, alpha, z, p - 1, tol).real
+    ds = _ml_deriv_vec(alpha, alpha, -w, p - 1, tol)
     ds = np.maximum(ds, 0.0).reshape(len(rates), len(x))
     with np.errstate(divide="ignore"):
         logx = (c * p - 1.0) * np.log(x)
@@ -155,7 +154,7 @@ def _erlang_logpdf(alpha, p, rates, nu, x, tol, score=False):
                          + logx + np.log(d) for lam, d in zip(rates, ds)])
     if not score:
         return logf
-    dn = _ml_deriv_vec(alpha, alpha, z, p, tol).real.reshape(ds.shape)
+    dn = _ml_deriv_vec(alpha, alpha, -w, p, tol).reshape(ds.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         return logf, p - w.reshape(ds.shape) * dn / ds
 
@@ -170,8 +169,8 @@ def _erlang_logsf(alpha, shapes, rates, nu, x, tol):
         logw = [np.log(wi) for wi in w]
         for s in range(max(shapes)):
             blocks = [i for i, p in enumerate(shapes) if p > s]
-            arg = -np.concatenate([w[i] for i in blocks]).astype(complex)
-            es = _ml_deriv_vec(alpha, 1.0, arg, s, tol).real
+            arg = -np.concatenate([w[i] for i in blocks])
+            es = _ml_deriv_vec(alpha, 1.0, arg, s, tol)
             es = np.maximum(es, 0.0).reshape(len(blocks), len(x))
             for i, e in zip(blocks, es):
                 if s == 0:
@@ -257,8 +256,10 @@ def _general_form(alpha, beta, ph, comps, vec, w, tol):
         eb = _eigenbasis(Tc)
         if eb is not None:
             eig, V, Vinv = eb
-            coef = ((left @ V) * (Vinv @ right)).astype(complex)
-            args = (eig.astype(complex)[None, :] * w[:, None]).reshape(-1)
+            # real when T_c has a real spectrum, so the scalar-ML call
+            # stays real too
+            coef = (left @ V) * (Vinv @ right)
+            args = (eig[None, :] * w[:, None]).reshape(-1)
             vals = _ml_vec(alpha, beta, args, 0, tol).reshape(len(w), -1)
             out += (vals @ coef).real
             continue

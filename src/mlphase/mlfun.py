@@ -86,8 +86,9 @@ def _series_vec(alpha, beta, z, k, tol, jmax=700):
 
     Returns (values, ok): ok[i] is False when float64 cannot certify the
     requested tolerance at z[i] given the cancellation seen in the sum.
+    The values have the dtype of z, real or complex.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z)
     out = np.zeros_like(z)
     absum = np.zeros(z.shape, dtype=float)
     zp = np.ones_like(z)
@@ -137,9 +138,9 @@ def _asymp_block(alpha, beta, zin, k, tol, nterms):
         c *= n + i
     kept = ~_gamma_dip(g)
     if not kept.any():
-        return (np.zeros(zin.size, dtype=complex), np.full(zin.size, np.inf),
+        return (np.zeros_like(zin), np.full(zin.size, np.inf),
                 np.zeros(zin.size, dtype=bool))
-    zp = np.empty((nterms, zin.size), dtype=complex)
+    zp = np.empty((nterms, zin.size), dtype=zin.dtype)
     zp[0] = zin ** (1 + k)
     # repeated multiplies, not np.cumprod, which rounds complex products
     # differently
@@ -186,8 +187,9 @@ def _asymp_vec(alpha, beta, z, k, tol, nmax=350):
     truncation (three consecutive growing terms), a block twice as long,
     up to nmax terms. Terms whose reciprocal-gamma factor sits at a pole dip
     are added to the sum but excluded from the truncation bookkeeping.
+    The values have the dtype of z, real or complex.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z)
     zin = 1.0 / z
     snap = np.zeros_like(z)
     err = np.full(z.shape, np.inf)
@@ -246,8 +248,14 @@ def _contour_nodes(alpha, beta, tol, mu, d):
 
 
 def _contour_offpole_vec(alpha, beta, z, k, tol):
-    """Vectorized contour for arguments with no principal-sheet pole."""
-    z = np.asarray(z, dtype=complex)
+    """Vectorized contour for arguments with no principal-sheet pole.
+
+    The sum is one reciprocal r = 1/(s^alpha - z) over the nodes and one
+    matrix-vector product (r^(k+1)) @ w. For a real z the terms at -u are
+    the conjugates of those at u, so only the nodes with u >= 0 are summed,
+    every one but u = 0 at twice its weight, and the real part is returned.
+    """
+    z = np.asarray(z)
     d = 1.0
     if alpha >= 0.999:
         # near alpha = 1 a singular point sits close to the branch-cut image;
@@ -258,8 +266,13 @@ def _contour_offpole_vec(alpha, beta, z, k, tol):
         # nearest singularity; a half-width strip holds the target to k = 8
         d *= 0.5
     s, w = _contour_nodes(alpha, beta, tol, mu=1.0, d=d)
-    denom = s[None, :] ** alpha - z[:, None]
-    return _factorial(k) * (w[None, :] / denom ** (k + 1)).sum(axis=1)
+    real = not np.iscomplexobj(z)
+    if real:
+        mid = s.size // 2  # the node u = 0
+        s, w = s[mid:], np.concatenate((w[mid:mid + 1], 2.0 * w[mid + 1:]))
+    r = 1.0 / (s[None, :] ** alpha - z[:, None])
+    val = r ** (k + 1) @ w
+    return _factorial(k) * (val.real if real else val)
 
 
 def _contour_pole_scalar(alpha, beta, z, tol):
@@ -295,7 +308,7 @@ def _deriv_coeffs(alpha, beta, k):
 
 def _recursion_deriv_vec(alpha, beta, z, k, tol):
     """k-th derivative through base evaluations at shifted second parameter."""
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z)
     c = _deriv_coeffs(alpha, beta, k)
     acc = np.zeros_like(z)
     for j in range(k + 1):
@@ -305,18 +318,22 @@ def _recursion_deriv_vec(alpha, beta, z, k, tol):
 
 
 def _ml_vec(alpha, beta, z, k, tol):
-    """k-th derivative of E_{alpha,beta} on an array of complex arguments.
+    """k-th derivative of E_{alpha,beta} on an array of arguments.
 
-    Each point goes to the first regime that certifies it: the series for
-    |z| <= 1; for k > 0 on the exponential sector, the recursion; the
-    algebraic expansion for |z| beyond the asymptotic threshold; otherwise
-    the contour, with the pole's residue added on the sector (k = 0 only).
+    Real in, real out: a real array stays float64 through every regime,
+    and a complex one is evaluated in complex128. Each point goes to the
+    first regime that certifies it: the series for |z| <= 1; for k > 0 on
+    the exponential sector, the recursion; the algebraic expansion for |z|
+    beyond the asymptotic threshold; otherwise the contour, with the pole's
+    residue added on the sector (k = 0 only).
     """
-    z = np.asarray(z, dtype=complex)
+    real = not np.iscomplexobj(z)
+    z = np.asarray(z, dtype=float if real else complex)
     if k == 0 and alpha > 1.0:
-        w = np.sqrt(z)
-        return 0.5 * (_ml_vec(alpha / 2.0, beta, w, 0, tol)
-                      + _ml_vec(alpha / 2.0, beta, -w, 0, tol))
+        w = np.sqrt(z.astype(complex))
+        v = 0.5 * (_ml_vec(alpha / 2.0, beta, w, 0, tol)
+                   + _ml_vec(alpha / 2.0, beta, -w, 0, tol))
+        return v.real if real else v
     if alpha == 1.0 and beta == 1.0:
         return np.exp(z)
     out = np.empty_like(z)
@@ -350,7 +367,8 @@ def _ml_vec(alpha, beta, z, k, tol):
     if off.any():
         out[off] = _contour_offpole_vec(alpha, beta, z[off], k, tol)
     for i in np.nonzero(todo & pole)[0]:
-        out[i] = _contour_pole_scalar(alpha, beta, z[i], tol)
+        v = _contour_pole_scalar(alpha, beta, z[i], tol)
+        out[i] = v.real if real else v
     return out
 
 
@@ -364,9 +382,8 @@ _ml_deriv_vec = _ml_vec
 def ml_eval(params: MLParams, z):
     """Evaluate E_{alpha,beta}(z) for a scalar or array argument.
 
-    Real input yields a real result (the imaginary part of the underlying
-    complex evaluation vanishes identically and is discarded); complex input
-    yields complex.  Scalars in, scalar out.
+    Real input is evaluated in real arithmetic and yields a real result;
+    complex input yields complex.  Scalars in, scalar out.
     """
     return ml_deriv(params, z, 0)
 
@@ -384,15 +401,10 @@ def ml_deriv(params: MLParams, z, k: int):
         raise ValidationError("argument must be a number or a numeric array")
     if not np.all(np.isfinite(za)):
         raise ValidationError("argument must be finite")
-    was_real = not np.iscomplexobj(za)
-    v = _ml_deriv_vec(params.alpha, params.beta,
-                      za.reshape(-1).astype(complex), k,
-                      params.accuracy_target)
-    v = v.reshape(za.shape)
-    if was_real:
-        v = v.real
+    v = _ml_deriv_vec(params.alpha, params.beta, za.reshape(-1), k,
+                      params.accuracy_target).reshape(za.shape)
     if za.ndim == 0:
-        return float(v) if was_real else complex(v)
+        return complex(v) if np.iscomplexobj(v) else float(v)
     return v
 
 
@@ -423,12 +435,12 @@ def _bidiagonal_rows(alpha, beta, a, b, w, orders, tol):
     gives their finite product, not inf * 0.
     """
     w = np.asarray(w, dtype=float)
-    z = (a * w).astype(complex)
+    z = a * w
     rows = np.empty((len(orders), w.size))
     with np.errstate(divide="ignore"):
         logbw = np.log(abs(b)) + np.log(w)
         for r, s in enumerate(orders):
-            e = _ml_deriv_vec(alpha, beta, z, s, tol).real
+            e = _ml_deriv_vec(alpha, beta, z, s, tol)
             if s == 0:
                 rows[r] = e
                 continue
@@ -559,7 +571,7 @@ def ml_matrix(params: MLParams, A) -> np.ndarray:
     eb = _eigenbasis(A)
     if eb is not None:
         w, V, Vinv = eb
-        E = V @ np.diag(_ml_vec(alpha, beta, w.astype(complex), 0, tol)) @ Vinv
+        E = V @ np.diag(_ml_vec(alpha, beta, w, 0, tol)) @ Vinv
         scale = np.abs(E).max() + 1.0
         if np.abs(E.imag).max() > 1e-10 * scale:
             raise EvaluationError(

@@ -121,6 +121,9 @@ class PHGenerator:
         return PHGenerator(self.pi, self.T, GENERAL, {})
 
     def to_json(self) -> str:
+        """The generator document. Raises ValidationError, through
+        ph_from_doc's check, when the tag and params do not describe pi and
+        T, so every document written reads back."""
         doc = {
             "structure": self.structure,
             "pi": [float(v) for v in self.pi],
@@ -128,6 +131,7 @@ class PHGenerator:
         }
         if self.params:
             doc["params"] = _params_to_doc(self.params)
+        ph_from_doc(doc)
         return json.dumps(doc, indent=2)
 
     @staticmethod

@@ -15,7 +15,7 @@ from mlphase import (
     ml_eval,
     ml_matrix,
 )
-from mlphase.mlfun import _asymp_threshold, _asymp_vec
+from mlphase.mlfun import _asymp_threshold, _asymp_vec, _ml_vec
 
 
 def _rel(got, ref):
@@ -173,6 +173,36 @@ def test_offpole_contour_high_order(alpha, k):
     params = MLParams(alpha, 1.0)
     for z in (-1.02, -1.2, -1.7, -3.0):
         assert _rel(ml_deriv(params, z, k), ml_ref_real(alpha, 1.0, z, k)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.999])
+@pytest.mark.parametrize("beta_kind", ["one", "alpha"])
+@pytest.mark.parametrize("k", [0, 1, 4, 8])
+def test_real_path(alpha, beta_kind, k):
+    # a float64 argument stays float64 through every regime: the series
+    # (|z| <= 1), the algebraic expansion (past the asymptotic threshold),
+    # the folded off-pole contour on [-7, -1.02], and for z > 0 the pole
+    # contour (k = 0) or the derivative recursion (k > 0). The contour
+    # points at alpha = 0.9, k = 8 are the band the benchmark still leaves
+    # unchecked (DERIV_BAND_FAULT); they meet the target, so they stay in.
+    from oracles import ml_ref
+
+    beta = 1.0 if beta_kind == "one" else alpha
+    tol = 1e-12
+    # past the threshold, and far enough out that the oracle takes its own
+    # expansion rather than a slow high-precision series
+    far = max(1.5 * _asymp_threshold(alpha, tol), 600.0 ** alpha)
+    z = [-0.3, -0.9, 0.6, -far, -3.0 * far, -1.02, -3.0, -7.0, 3.0, 4.0]
+    if k < 8:
+        # at k = 8 the recursion cancels below z = 3 and misses the target
+        # (2.3e-10 at alpha = 0.9, z = 1.5; ROADMAP item 6)
+        z.append(1.5)
+    z = np.array(z)
+    vals = _ml_vec(alpha, beta, z, k, tol)
+    assert vals.dtype == np.float64
+    for zi, v in zip(z, vals):
+        ref = complex(ml_ref(alpha, beta, complex(zi), k)).real
+        assert _rel(v, ref) < 1e-12, (zi, v, ref)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5])

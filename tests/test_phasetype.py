@@ -368,6 +368,15 @@ def test_doc_fields():
         ph_from_doc({"structure": "nope", "pi": [1.0], "T": [[-1.0]]})
 
 
+@pytest.mark.parametrize("params", [{"shape": 1, "rate": 100.0}, {}],
+                         ids=["mismatched", "missing"])
+def test_to_json_rejects_mis_tagged(params):
+    # a tag whose params do not describe pi and T would write a document
+    # that ph_from_doc rejects
+    with pytest.raises(ValidationError, match="erlang params"):
+        PHGenerator([1.0], [[-1.0]], "erlang", params).to_json()
+
+
 # the T of an Erlang(2, 1) under an erlang tag whose params, if any, say
 # otherwise
 _ERLANG2_T = {"structure": "erlang", "pi": [1, 0], "T": [[-1, 1], [0, -1]]}
