@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 from scipy.special import gamma as sc_gamma
 
 from .errors import ValidationError, _document, _json, _number
@@ -41,6 +41,7 @@ from .mlfun import (
     _eigenbasis,
     _ml_deriv_vec,
     _ml_vec,
+    _offpole_nodes,
     ml_matrix,
 )
 from .phasetype import (
@@ -53,6 +54,12 @@ from .phasetype import (
 
 _TOL = 1e-12
 _BIG = 1e300
+# relative distance within which the score block's own E^{(p-1)} must meet
+# the certified kernel's for its sums at that point to be used
+_BLOCK_CHECK = 1e-9
+# points per slice of the score block: its two complex (points, nodes)
+# temporaries stay near 0.3 MB however many points a likelihood has
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,26 @@ def _ret(vals, scalar):
     return float(vals[0]) if scalar else vals
 
 
+def _logsumexp(a, b=None):
+    """log sum_i b_i exp(a_i) down the columns of a, with b >= 0 one weight
+    per row (shape (rows, 1)) or all ones, as scipy.special.logsumexp forms
+    it: the largest term is split out, log1p(rest / lead) + log lead + max.
+    A column without a positive term gives -inf, without a warning."""
+    if b is not None:
+        a = np.where(b > 0.0, a, -np.inf)
+    cols = np.arange(a.shape[1])
+    top = a.argmax(axis=0)
+    big = a[top, cols]
+    with np.errstate(invalid="ignore"):  # -inf - -inf in an empty column
+        e = np.exp(a - big)
+    lead = 1.0 if b is None else b[top, 0]
+    if b is not None:
+        e *= b
+    e[top, cols] = 0.0
+    out = np.log1p(e.sum(axis=0) / lead) + np.log(lead) + big
+    return np.where(big == -np.inf, -np.inf, out)
+
+
 # ---------------------------------------------------------------------------
 # structured log-density / log-survival cores
 #
@@ -134,15 +161,59 @@ def _ret(vals, scalar):
 # c = nu * alpha applied to x inside E, and returns log f (density cores
 # include the nu x^{nu alpha - 1} prefactor) or log S.
 
+def _score_block(alpha, p, u, nlogx, ds, tol):
+    """(E^{(p)}, a) at the arguments u > 0, E = E_{alpha,alpha}, given
+    ds = E^{(p-1)}(-u) from the certified kernel and nlogx = nu log x.
+
+    a = d log h_p / d alpha for h_p(u) = u^p E^{(p-1)}(-u) / (p-1)!, with
+    u = lam x^{nu alpha}. Both come from one contour block over the folded
+    off-pole nodes s_j (weights w_j) of order p: h_p(u) = sum_j w_j q_j^p
+    with q_j = u r_j, r_j = 1/(s_j^alpha + u), and
+    dq/dalpha = q (1 - q) (nu log x - log s). From R = r^(p+1), one product
+    gives
+    E^{(p)} = p! sum_j w_j R_j,
+    u^-p dh_p/dalpha = p sum_j w_j s_j^alpha R_j (nu log x - log s_j), and
+    the block's own E^{(p-1)} = (p-1)! sum_j w_j R_j (s_j^alpha + u).
+    Where that last one misses ds by more than _BLOCK_CHECK relative,
+    E^{(p)} comes from the certified kernel and a is nan. At alpha = 1 the
+    kernel is the exponential, exact, whose decay the block cannot resolve,
+    so every point takes that path.
+    """
+    fact = math.factorial(p - 1)
+    ok = np.zeros(u.shape, dtype=bool)
+    dn = np.empty_like(u)
+    da = np.full_like(u, np.nan)
+    if alpha < 1.0:
+        s, ws = _offpole_nodes(alpha, alpha, tol, p, real=True)
+        sa = s ** alpha
+        W = np.column_stack((ws, ws * sa, ws * sa * np.log(s)))
+        sums = np.empty((u.size, 3))
+        for lo in range(0, u.size, _BLOCK_ROWS):
+            r = 1.0 / (sa + u[lo:lo + _BLOCK_ROWS, None])
+            R = r * r
+            for _ in range(p - 1):  # repeated products: complex ** is slower
+                R *= r
+            sums[lo:lo + _BLOCK_ROWS] = (R @ W).real
+        one, pw, dl = sums.T
+        ok = np.abs(fact * (pw + u * one) - ds) < _BLOCK_CHECK * ds
+        dn = p * fact * one
+        with np.errstate(divide="ignore", invalid="ignore"):
+            da = np.where(ok, p * fact * (nlogx * pw - dl) / ds, np.nan)
+    if not ok.all():
+        dn[~ok] = _ml_deriv_vec(alpha, alpha, -u[~ok], p, tol)
+    return dn, da
+
+
 def _erlang_logpdf(alpha, p, rates, nu, x, tol, score=False):
     """Erlang(p, lam) log-densities, one row per lam in rates, from one
     scalar-ML call over every rate.
 
-    With score, also the rows D = d log f / d log lam
-    = p - u E^{(p)}(-u) / E^{(p-1)}(-u), with E = E_{alpha,alpha} and
-    u = lam x^{nu alpha}, from one more call at order p: f = (nu/x) h_p(u)
-    with h_p(u) = u^p E^{(p-1)}(-u) / (p-1)!, and u h_p'(u) =
-    p (h_p - h_{p+1}). Then d log f / d log nu = 1 + nu alpha log(x) D.
+    f = (nu/x) h_p(u) with u = lam x^{nu alpha} and
+    h_p(u) = u^p E^{(p-1)}(-u) / (p-1)!, E = E_{alpha,alpha}. With score,
+    also the rows D = d log f / d log lam = p - u E^{(p)}(-u) / E^{(p-1)}(-u)
+    (from u h_p'(u) = p (h_p - h_{p+1})) and a = d log f / d alpha at fixed
+    lam and nu, both from _score_block. Then
+    d log f / d log nu = 1 + nu alpha log(x) D.
     """
     c = nu * alpha
     w = np.concatenate([_power_arg(x, c, lam) for lam in rates])
@@ -154,9 +225,12 @@ def _erlang_logpdf(alpha, p, rates, nu, x, tol, score=False):
                          + logx + np.log(d) for lam, d in zip(rates, ds)])
     if not score:
         return logf
-    dn = _ml_deriv_vec(alpha, alpha, -w, p, tol).reshape(ds.shape)
+    flat = ds.reshape(-1)
+    dn, da = _score_block(alpha, p, w, np.tile(nu * np.log(x), len(rates)),
+                          flat, tol)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return logf, p - w.reshape(ds.shape) * dn / ds
+        return (logf, p - (w * dn / flat).reshape(ds.shape),
+                da.reshape(ds.shape))
 
 
 def _erlang_logsf(alpha, shapes, rates, nu, x, tol):
@@ -177,58 +251,64 @@ def _erlang_logsf(alpha, shapes, rates, nu, x, tol):
                     terms[i][s] = np.log(e)
                 else:
                     terms[i][s] = s * logw[i] - gammaln(s + 1.0) + np.log(e)
-    return np.array([logsumexp(t, axis=0) for t in terms])
+    return np.array([_logsumexp(t) for t in terms])
 
 
 def _mixture_logpdf(alpha, weights, shapes, rates, nu, x, tol, score=False):
-    """log f of an Erlang mixture. With score, (log f, D, r): log f the same
-    bits, and per component i (rows) the score D_i of _erlang_logpdf and the
-    responsibility r_i = w_i f_i / f."""
+    """log f of an Erlang mixture. With score, (log f, D, a, r): log f the
+    same bits, and per component i (rows) the scores D_i and a_i of
+    _erlang_logpdf and the responsibility r_i = w_i f_i / f."""
     shapes = [int(p) for p in shapes]
     rates = [float(lam) for lam in rates]
     comp = np.empty((len(weights), len(x)))
     scores = np.empty_like(comp)
+    alphas = np.empty_like(comp)
     for p in sorted(set(shapes)):
         blocks = [i for i, q in enumerate(shapes) if q == p]
         rows = _erlang_logpdf(alpha, p, [rates[i] for i in blocks], nu, x,
                               tol, score)
         if score:
-            comp[blocks], scores[blocks] = rows
+            comp[blocks], scores[blocks], alphas[blocks] = rows
         else:
             comp[blocks] = rows
     w = np.asarray(weights)[:, None]
-    logf = logsumexp(comp, axis=0, b=w)
+    logf = _logsumexp(comp, w)
     if not score:
         return logf
     with np.errstate(invalid="ignore"):  # f = 0 leaves r undefined
-        return logf, scores, w * np.exp(comp - logf)
+        return logf, scores, alphas, w * np.exp(comp - logf)
 
 
 def _mixture_logsf(alpha, weights, shapes, rates, nu, x, tol):
     comp = _erlang_logsf(alpha, [int(p) for p in shapes],
                          [float(lam) for lam in rates], nu, x, tol)
-    return logsumexp(comp, axis=0, b=np.asarray(weights)[:, None])
+    return _logsumexp(comp, np.asarray(weights)[:, None])
 
 
 def _logpdf_partials(d, x):
-    """(log f, rows) for a law whose T splits into Erlang components alone
-    (PHGenerator._blocks), at x > 0; None for any other T.
+    """(log f, rows, a) for a law whose T splits into Erlang components
+    alone (PHGenerator._blocks), at x > 0; None for any other T.
 
     log f is mml_logpdf's, bit for bit. The rows are its partials at fixed
     alpha, per point: d/d log lam_i = r_i D_i for each component i of the
     split, then d/d log w_i = r_i with the weights taken as free, then
     d/d log nu = 1 + nu alpha log x sum_i r_i D_i (_mixture_logpdf's D, r).
+    a = sum_i r_i a_i is d log f / d alpha per point, nan at a point where
+    a component with r_i > 0 has no certified a_i.
     """
     alpha, ph, nu = _unpack(d)
     weights, shapes, rates, rest = ph._blocks
     if rest:
         return None
-    logf, scores, r = _mixture_logpdf(alpha, weights, shapes, rates, nu, x,
-                                      _TOL, score=True)
+    logf, scores, alphas, r = _mixture_logpdf(alpha, weights, shapes, rates,
+                                              nu, x, _TOL, score=True)
     # a component whose density underflowed has r = 0 and no finite score
     with np.errstate(invalid="ignore"):
-        rd = np.where(r > 0.0, r * scores, 0.0)
-    return logf, np.vstack([rd, r, 1.0 + nu * alpha * np.log(x) * rd.sum(0)])
+        live = r > 0.0
+        rd = np.where(live, r * scores, 0.0)
+        ra = np.where(live, r * alphas, 0.0).sum(0)
+    return (logf, np.vstack([rd, r, 1.0 + nu * alpha * np.log(x) * rd.sum(0)]),
+            ra)
 
 
 # only bench/tracer.py reads this: it classes the spans of a tagged Coxian

@@ -3,9 +3,11 @@
 The optimizer is a multi-start L-BFGS-B over an unconstrained
 reparametrization: alpha through a logistic map into (0,1), nu and rates
 through log maps, mixture weights through softmax. Its gradient is analytic
-in the rates, weights and nu of a mixture-Erlang or exponential iterate
-(nll's partials, chained through the reparametrization); the alpha row, and
-every row of a Coxian iterate, is a forward difference. Restarts draw
+in alpha, the rates, the weights and nu of a mixture-Erlang or exponential
+iterate (nll's partials, chained through the reparametrization), so one
+evaluation is one likelihood pass. The alpha row falls back to a forward
+difference at an iterate where its contour sums fail their self-check, and
+every row of a Coxian iterate is a forward difference. Restarts draw
 jittered initial points from split sub-streams, so results are deterministic
 per seed and adding restarts can only improve the returned NLL.
 """
@@ -66,11 +68,11 @@ class FitConfig:
     Each restart is one L-BFGS-B run of at most max_iterations iterations
     and 2 * max_iterations objective evaluations. An evaluation makes one
     NLL pass, with partials where they are analytic, plus one pass per
-    forward-difference row: one for a fitted alpha, or n_params for an
-    iterate without partials. So a restart makes at most
-    2 * max_iterations * (n_params + 1) NLL passes. convergence_tol is its
-    relative ftol: a restart stops once an iteration lowers the NLL by at
-    most convergence_tol * max(|NLL|, 1).
+    forward-difference row: one for a fitted alpha whose analytic row is
+    uncertified, or n_params for an iterate without partials. So a restart
+    makes at most 2 * max_iterations * (n_params + 1) NLL passes.
+    convergence_tol is its relative ftol: a restart stops once an iteration
+    lowers the NLL by at most convergence_tol * max(|NLL|, 1).
     """
 
     structure: str = MIXTURE_ERLANG
@@ -165,11 +167,13 @@ def nll(model: PMMLDist, data, partials: dict | None = None) -> float:
     Any non-finite log-density maps to the infinite-NLL sentinel so the
     optimizer treats the iterate as rejected rather than crashing.
 
-    partials, when a dict, receives the NLL's partial derivatives at fixed
-    alpha if T splits into Erlang components alone (PHGenerator._blocks) and
-    the NLL is finite: "log_rates" and "log_weights" (the weights taken as
-    free), one entry per component of the split, and "log_nu". Otherwise it
-    is left as it is. The returned value is the same either way, bit for bit.
+    partials, when a dict, receives the NLL's partial derivatives if T
+    splits into Erlang components alone (PHGenerator._blocks) and the NLL is
+    finite: "log_rates" and "log_weights" (the weights taken as free), one
+    entry per component of the split, and "log_nu", each at fixed alpha;
+    and "alpha", at fixed rates, weights and nu, unless a point's alpha
+    score failed its contour block's self-check. Otherwise it is left as it
+    is. The returned value is the same either way, bit for bit.
     """
     x = _values(data)
     try:
@@ -184,6 +188,9 @@ def nll(model: PMMLDist, data, partials: dict | None = None) -> float:
         g = -scored[1].sum(axis=1)
         m = len(g) // 2
         partials.update(log_rates=g[:m], log_weights=g[m:-1], log_nu=g[-1])
+        a = -scored[2].sum()
+        if np.isfinite(a):
+            partials["alpha"] = a
     return float(-s)
 
 
@@ -309,12 +316,14 @@ def _nll_at(theta: np.ndarray, data: np.ndarray, config: FitConfig) -> float:
 def _objective(data: np.ndarray, config: FitConfig, wall: float):
     """theta -> (NLL, gradient); an NLL that is not finite scores wall.
 
-    The log-rate, softmax and log-nu rows come from nll's partials when the
-    decoded law splits into one Erlang component per configured block: a
-    mixture-Erlang or exponential iterate whose weights are all positive.
-    The logit-alpha row, and every row of any other iterate (every Coxian
-    one), is a forward difference with the step of scipy's L-BFGS-B,
-    h = (theta_k + 1e-8) - theta_k. A rejected iterate has a zero gradient.
+    The logit-alpha, log-rate, softmax and log-nu rows come from nll's
+    partials when the decoded law splits into one Erlang component per
+    configured block: a mixture-Erlang or exponential iterate whose weights
+    are all positive. The logit-alpha row is then partials["alpha"]
+    alpha (1 - alpha), or, where nll left "alpha" out, a forward difference
+    with the step of scipy's L-BFGS-B, h = (theta_k + 1e-8) - theta_k.
+    Every row of any other iterate (every Coxian one) is such a forward
+    difference. A rejected iterate has a zero gradient.
     """
     _, sa, sn, sw, sr = _layout(config)
     split = {MIXTURE_ERLANG: config.shapes, EXPONENTIAL: (1,)}.get(
@@ -331,12 +340,18 @@ def _objective(data: np.ndarray, config: FitConfig, wall: float):
         f = nll(model, data, partials)
         if not np.isfinite(f):
             return wall, grad
+        probes = range(len(theta))
         if partials:
             grad[sr] = partials["log_rates"]
             g = partials["log_weights"]
             grad[sw] = g[1:] - np.asarray(weights[1:]) * g.sum()
             grad[sn] = partials["log_nu"]
-        for k in range(sa.start, sa.stop) if partials else range(len(theta)):
+            probes = range(sa.start, sa.stop)
+            if "alpha" in partials:
+                a = model.alpha
+                grad[sa] = partials["alpha"] * a * (1.0 - a)
+                probes = ()
+        for k in probes:
             h = (theta[k] + 1e-8) - theta[k]
             step = theta.copy()
             step[k] += h

@@ -247,15 +247,15 @@ def _contour_nodes(alpha, beta, tol, mu, d):
     return s, w
 
 
-def _contour_offpole_vec(alpha, beta, z, k, tol):
-    """Vectorized contour for arguments with no principal-sheet pole.
+def _offpole_nodes(alpha, beta, tol, k, real):
+    """Nodes and weights of the off-pole contour for the k-th derivative.
 
-    The sum is one reciprocal r = 1/(s^alpha - z) over the nodes and one
-    matrix-vector product (r^(k+1)) @ w. For a real z the terms at -u are
-    the conjugates of those at u, so only the nodes with u >= 0 are summed,
-    every one but u = 0 at twice its weight, and the real part is returned.
+    The parabola has mu = 1 and a strip half-width d = 1, narrowed to 0.8 at
+    alpha >= 0.999 and halved at k >= 4. With real, the nodes are folded
+    onto u >= 0: for a real argument the terms at -u are the conjugates of
+    those at u, so every node but u = 0 keeps twice its weight, and the
+    caller takes the real part of its sum.
     """
-    z = np.asarray(z)
     d = 1.0
     if alpha >= 0.999:
         # near alpha = 1 a singular point sits close to the branch-cut image;
@@ -266,10 +266,22 @@ def _contour_offpole_vec(alpha, beta, z, k, tol):
         # nearest singularity; a half-width strip holds the target to k = 8
         d *= 0.5
     s, w = _contour_nodes(alpha, beta, tol, mu=1.0, d=d)
-    real = not np.iscomplexobj(z)
     if real:
         mid = s.size // 2  # the node u = 0
         s, w = s[mid:], np.concatenate((w[mid:mid + 1], 2.0 * w[mid + 1:]))
+    return s, w
+
+
+def _contour_offpole_vec(alpha, beta, z, k, tol):
+    """Vectorized contour for arguments with no principal-sheet pole.
+
+    The sum is one reciprocal r = 1/(s^alpha - z) over the nodes and one
+    matrix-vector product (r^(k+1)) @ w, over the folded nodes of
+    _offpole_nodes for a real z, whose real part is returned.
+    """
+    z = np.asarray(z)
+    real = not np.iscomplexobj(z)
+    s, w = _offpole_nodes(alpha, beta, tol, k, real)
     r = 1.0 / (s[None, :] ** alpha - z[:, None])
     val = r ** (k + 1) @ w
     return _factorial(k) * (val.real if real else val)

@@ -2,6 +2,7 @@
 tail behavior, serialization."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from mlphase import (
 from mlphase.distributions import (
     _erlang_logpdf,
     _erlang_logsf,
+    _logsumexp,
     _mixture_logpdf,
     _mixture_logsf,
 )
@@ -257,6 +259,53 @@ def test_mixture_cores_match_per_component(weights, shapes, rates, nu):
     assert np.array_equal(
         _mixture_logsf(alpha, weights, shapes, rates, nu, x, tol),
         logsumexp(sf, axis=0, b=b))
+
+
+@pytest.mark.parametrize("p", [1, 3, 9])
+def test_score_block_slices_are_independent(p):
+    # the score block runs over the points in slices; each point's scores
+    # must not depend on which slice it lands in or on its neighbours
+    alpha, nu, rates = 0.9, 1.3, [10.0, 1.0, 0.1]
+    x = np.geomspace(1e-4, 1e6, 301)
+    _, D, a = _erlang_logpdf(alpha, p, rates, nu, x, 1e-12, score=True)
+    for lo in range(0, len(x), 37):
+        sl = slice(lo, lo + 37)
+        _, Ds, as_ = _erlang_logpdf(alpha, p, rates, nu, x[sl], 1e-12,
+                                    score=True)
+        assert np.allclose(Ds, D[:, sl], rtol=1e-13, atol=0.0)
+        assert np.allclose(as_, a[:, sl], rtol=1e-13, atol=1e-13,
+                           equal_nan=True)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5])
+@pytest.mark.parametrize("name, d", [(n, d) for n, d in standard_models()
+                                     if len(d.ph._blocks[0])])
+def test_logsumexp_matches_scipy(name, d, nu):
+    # the mixture cores join their components with a numpy max-shift
+    # logsumexp; it must give scipy's values on every component table
+    weights, shapes, rates, _ = d.ph._blocks
+    x = np.geomspace(1e-6, 1e6, 61)
+    b = np.asarray(weights)[:, None]
+    pdf = np.array([_erlang_logpdf(d.alpha, p, [lam], nu, x, 1e-12)[0]
+                    for p, lam in zip(shapes, rates)])
+    sf = _erlang_logsf(d.alpha, list(shapes), list(rates), nu, x, 1e-12)
+    for comp, w in ((pdf, b), (sf, b), (pdf, None)):
+        want = logsumexp(comp, axis=0, b=w)
+        got = _logsumexp(comp, w)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.all(np.abs(got - want)[np.isfinite(want)] <= 1e-15)
+
+
+def test_logsumexp_of_no_terms_is_minus_inf():
+    # a column whose terms are all -inf, or carry zero weight, gives -inf
+    # without a floating-point warning
+    a = np.full((3, 4), -np.inf)
+    a[1, 2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_logsumexp(a), [-np.inf, -np.inf, 0.0, -np.inf])
+        assert np.all(_logsumexp(a, np.array([[0.3], [0.0], [0.7]]))
+                      == -np.inf)
 
 
 def test_coxian_near_coalescent_rates_fall_back():

@@ -24,7 +24,7 @@ from mlphase import (
 )
 from mlphase import fitting
 from mlphase.tailtools import DataSeries
-from mlphase.fitting import _decode, _layout, _nll_at, _objective
+from mlphase.fitting import _decode, _layout, _logit, _nll_at, _objective
 
 
 def _expconfig(**kw):
@@ -97,6 +97,40 @@ def test_objective_rejection_sentinel():
 _GRAD_X = np.geomspace(1e-3, 1e4, 40)
 
 
+def _spy_regimes(monkeypatch):
+    """The set that collects the scalar-ML regimes called from now on."""
+    from mlphase import mlfun
+
+    regimes = set()
+    for name in ("_series_vec", "_contour_offpole_vec", "_asymp_vec"):
+        def spy(*args, _name=name, _fn=getattr(mlfun, name)):
+            regimes.add(_name)
+            return _fn(*args)
+        monkeypatch.setattr(mlfun, name, spy)
+    return regimes
+
+
+def _check_gradient(config, theta, x, keys):
+    """The objective's gradient against central differences of _nll_at, row
+    by row; the value with partials against the plain one, bit for bit; and
+    the keys nll's partials hold."""
+    f, grad = _objective(x, config, np.inf)(theta)
+    h = 1e-5
+    central = np.array([
+        (_nll_at(theta + e, x, config)
+         - _nll_at(theta - e, x, config)) / (2 * h)
+        for e in h * np.eye(len(theta))])
+    assert np.all(np.abs(grad - central)
+                  <= 1e-6 * np.maximum(np.abs(central), 1.0))
+    model = _decode(theta, config)
+    partials = {}
+    assert nll(model, x, partials) == nll(model, x) == f
+    assert set(partials) == keys
+
+
+_KEYS = {"log_rates", "log_weights", "log_nu"}
+
+
 @pytest.mark.parametrize("fit_nu", [False, True], ids=["nu_pinned", "nu_free"])
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
 # a shape-9 component takes its score from order 9, one past the k = 8 that
@@ -105,8 +139,6 @@ _GRAD_X = np.geomspace(1e-3, 1e4, 40)
 def test_analytic_gradient_matches_central_differences(monkeypatch, shapes,
                                                       alpha, fit_nu):
     # with alpha pinned every row of the gradient comes from nll's partials
-    from mlphase import mlfun
-
     config = FitConfig(structure="mixture_erlang", shapes=shapes,
                        fit_alpha=False, pinned_alpha=alpha, fit_nu=fit_nu,
                        pinned_nu=1.3)
@@ -116,27 +148,77 @@ def test_analytic_gradient_matches_central_differences(monkeypatch, shapes,
     m = len(shapes)
     theta = np.concatenate([[0.2] * fit_nu, np.linspace(-0.4, 0.4, m - 1),
                             np.linspace(-1.0, 1.0, m)])
-    regimes = set()
-    for name in ("_series_vec", "_contour_offpole_vec", "_asymp_vec"):
-        def spy(*args, _name=name, _fn=getattr(mlfun, name)):
-            regimes.add(_name)
-            return _fn(*args)
-        monkeypatch.setattr(mlfun, name, spy)
-    f, grad = _objective(x, config, np.inf)(theta)
+    regimes = _spy_regimes(monkeypatch)
+    # at alpha = 1 every point takes E^{(p)} from the kernel's exponential,
+    # and the alpha partial is left out
+    keys = _KEYS | {"alpha"} if alpha < 1.0 else _KEYS
+    _check_gradient(config, theta, x, keys)
     if alpha < 1.0:
         assert regimes == {"_series_vec", "_contour_offpole_vec", "_asymp_vec"}
-    h = 1e-5
-    central = np.array([
-        (_nll_at(theta + e, x, config)
-         - _nll_at(theta - e, x, config)) / (2 * h)
-        for e in h * np.eye(len(theta))])
-    assert np.all(np.abs(grad - central)
-                  <= 1e-6 * np.maximum(np.abs(central), 1.0))
-    # requesting partials leaves the value bit-identical
-    model = _decode(theta, config)
+
+
+@pytest.mark.parametrize("fit_nu", [False, True], ids=["nu_pinned", "nu_free"])
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.999, 0.9995])
+@pytest.mark.parametrize("shapes", [(1,), (2, 1), (3, 3, 3), (9, 2)])
+def test_alpha_row_matches_central_differences(monkeypatch, shapes, alpha,
+                                               fit_nu):
+    # with alpha free its row comes from the contour block's alpha sum
+    config = FitConfig(structure="mixture_erlang", shapes=shapes,
+                       fit_alpha=True, fit_nu=fit_nu, pinned_nu=1.3)
+    # near alpha = 1 the block resolves E^{(p-1)}(-u) to the check's 1e-9
+    # only up to u of a few 1e3, so the data stop at x = 300 there
+    x = _GRAD_X if alpha < 0.99 else _GRAD_X[_GRAD_X <= 300.0]
+    m = len(shapes)
+    theta = np.concatenate([[_logit(alpha)], [0.2] * fit_nu,
+                            np.linspace(-0.4, 0.4, m - 1),
+                            np.linspace(-1.0, 1.0, m)])
+    regimes = _spy_regimes(monkeypatch)
+    _check_gradient(config, theta, x, _KEYS | {"alpha"})
+    assert regimes == {"_series_vec", "_contour_offpole_vec", "_asymp_vec"}
+
+
+@pytest.mark.parametrize("alpha, x, log_rate", [
+    # E^{(p-1)}(-u) = e^{-u}: the kernel's exponential serves every point
+    # (rates small enough that the density stays finite out to x = 1e6)
+    (1.0, np.geomspace(1e-3, 1e6, 40), -15.0),
+    # u out to 1e11, far past the block's resolution: those points fail its
+    # check and take E^{(p)} from the kernel's asymptotic expansion
+    (0.9, np.geomspace(1e-3, 1e9, 40), 0.0),
+], ids=["alpha_one", "far_tail"])
+@pytest.mark.parametrize("shapes", [(1,), (3, 2), (9, 2)])
+def test_uncertified_points_fall_back_to_the_kernel(shapes, alpha, x,
+                                                    log_rate):
+    # the rate and nu rows stay exact where the contour block does not
+    # serve, and the alpha partial is left out
+    config = FitConfig(structure="mixture_erlang", shapes=shapes,
+                       fit_alpha=False, pinned_alpha=alpha, pinned_nu=1.3)
+    m = len(shapes)
+    theta = np.concatenate([[0.2], np.linspace(-0.4, 0.4, m - 1),
+                            log_rate + np.linspace(-0.5, 0.5, m)])
+    _check_gradient(config, theta, x, _KEYS)
+
+
+@pytest.mark.parametrize("far, passes", [(1e4, 1), (1e9, 2)],
+                         ids=["certified", "uncertified"])
+def test_alpha_row_needs_no_probe_where_certified(monkeypatch, far, passes):
+    # a point at x = 1e9 puts u past the block's resolution at alpha = 0.9,
+    # so that evaluation probes alpha by a forward difference
+    config = FitConfig(structure="mixture_erlang", shapes=(3, 2), fit_nu=False)
+    theta = np.array([_logit(0.9), 0.1, -1.0, 0.5])
+    x = np.append(_GRAD_X[:-1], far)
+    requested = []
+    true_nll = fitting.nll
+
+    def spy(model, x, partials=None):
+        requested.append(partials is not None)
+        return true_nll(model, x, partials)
+
+    monkeypatch.setattr(fitting, "nll", spy)
+    f, grad = _objective(x, config, np.inf)(theta)
+    assert requested == [True] + [False] * (passes - 1)
     partials = {}
-    assert nll(model, x, partials) == nll(model, x) == f
-    assert set(partials) == {"log_rates", "log_weights", "log_nu"}
+    true_nll(_decode(theta, config), x, partials)
+    assert ("alpha" in partials) == (passes == 1)
 
 
 @pytest.mark.parametrize("config, theta", [
