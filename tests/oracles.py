@@ -10,6 +10,8 @@ Two branches:
   - asymptotic expansion at optimal truncation with a min-term error bound
 Overlap zones allow the two branches to cross-validate each other.
 """
+import math
+
 import mpmath as mp
 
 
@@ -118,6 +120,40 @@ def ml_ref(alpha, beta, z, k=0, certify=1e-25):
 
 def ml_ref_real(alpha, beta, x, k=0):
     return ml_ref(alpha, beta, x, k).real
+
+
+def ml_matrix_shifted_nilpotent(alpha, beta, a, N):
+    """E_{alpha,beta}(a I + N) for a real a and a nilpotent numpy array N,
+    from the identity E(a I + N) = sum_s N^s / s! E^(s)(a)."""
+    import numpy as np
+
+    out, Ns = np.zeros_like(N), np.eye(len(N))
+    for s in range(len(N)):
+        out = out + Ns * (ml_ref_real(alpha, beta, a, s) / math.factorial(s))
+        Ns = Ns @ N
+    return out
+
+
+def ml_matrix_series(alpha, beta, A, dps):
+    """E_{alpha,beta}(A) for a square numpy array A from its power series in
+    mpmath matrices at dps digits, with A's binary entries taken exactly;
+    summed until a term's 1-norm is below 10^-dps of the sum's."""
+    import numpy as np
+
+    p = len(A)
+    with mp.workdps(dps):
+        M = mp.matrix([[mp.mpf(float(v)) for v in row] for row in A])
+        a, b = mp.mpf(float(alpha)), mp.mpf(float(beta))
+        acc, P, k = mp.eye(p) * mp.rgamma(b), mp.eye(p), 0
+        while True:
+            k += 1
+            P = P * M
+            term = P * mp.rgamma(a * k + b)
+            acc += term
+            if k > 8 and mp.mnorm(term, 1) < mp.mpf(10) ** -dps * mp.mnorm(
+                    acc, 1):
+                return np.array([[float(acc[i, j]) for j in range(p)]
+                                 for i in range(p)])
 
 
 def regenerate(path):

@@ -399,6 +399,105 @@ def test_matrix_generator_argument():
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-9
 
 
+# A defective generator: T = -I + N with N nilpotent, so T x^alpha has no
+# eigenbasis and ml_matrix takes a series; the reference is the identity
+# E(-y I + y N) = sum_s (y N)^s / s! E^(s)(-y) with y = x^alpha.
+_DEFECTIVE = np.array([[-1.0, 0.5, 0.0], [0.0, -1.0, 0.9], [0.0, 0.0, -1.0]])
+
+
+def _defective_case(alpha, beta, x):
+    from oracles import ml_matrix_shifted_nilpotent
+
+    y = x ** alpha
+    ref = ml_matrix_shifted_nilpotent(alpha, beta, -y,
+                                      (_DEFECTIVE + np.eye(3)) * y)
+    return _DEFECTIVE * y, ref
+
+
+def _spy(monkeypatch, name):
+    import mlphase.mlfun as mlfun
+
+    calls = []
+    fn = getattr(mlfun, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(mlfun, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("beta", [0.7, 1.0])
+@pytest.mark.parametrize("x", [4.0, 5.0, 5.2])
+def test_matrix_float_series_meets_target(x, beta):
+    # below six lost digits the float64 series runs first, and its value is
+    # kept only when its own estimate meets the accuracy target
+    A, ref = _defective_case(0.7, beta, x)
+    out = ml_matrix(MLParams(0.7, beta), A)
+    assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("beta", [0.7, 1.0])
+@pytest.mark.parametrize("x", [6.7, 15.0, 40.0])
+def test_matrix_extended_precision_series(monkeypatch, x, beta):
+    calls = _spy(monkeypatch, "_matrix_series_mp")
+    A, ref = _defective_case(0.7, beta, x)
+    out = ml_matrix(MLParams(0.7, beta), A)
+    assert calls
+    assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_defective_law_extended_precision(monkeypatch):
+    # pi E_{a,a}(T x^a) t x^(a-1) and pi E_{a,1}(T x^a) 1 through the law API
+    from mlphase import MMLDist, make_general, mml_pdf, mml_sf
+
+    calls = _spy(monkeypatch, "_matrix_series_mp")
+    d = MMLDist(0.7, make_general((1.0, 0.0, 0.0), _DEFECTIVE))
+    xs = np.array([6.7, 15.0, 40.0])
+    pdf, sf = mml_pdf(d, xs), mml_sf(d, xs)
+    assert len(calls) == 2 * len(xs)
+    t = -_DEFECTIVE.sum(axis=1)
+    for i, x in enumerate(xs):
+        assert _rel(pdf[i], _defective_case(0.7, 0.7, x)[1][0] @ t
+                    * x ** -0.3) < 1e-12
+        assert _rel(sf[i], _defective_case(0.7, 1.0, x)[1][0].sum()) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [30.0, 150.0])
+def test_matrix_extended_precision_small_entries(monkeypatch, beta):
+    # 1/Gamma(beta) is 1e-31 or 1e-261: the series' integer unit follows the
+    # first coefficient, so the stopping rule and the value keep their digits
+    calls = _spy(monkeypatch, "_matrix_series_mp")
+    A, ref = _defective_case(0.7, beta, 15.0)
+    out = ml_matrix(MLParams(0.7, beta), A)
+    assert calls
+    assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matrix_extended_precision_dense(seed):
+    # dense matrices of dimension 1 to 5, 2 to 9 digits lost, against
+    # mpmath matrices at ample precision
+    from mlphase.mlfun import _matrix_series_mp
+    from oracles import ml_matrix_series
+
+    rng = np.random.default_rng(seed)
+    p, alpha, beta = 1 + seed % 5, rng.uniform(0.4, 1.0), rng.uniform(0.3, 1.6)
+    A = rng.uniform(-1.0, 1.0, (p, p))
+    theta = rng.uniform(5.0, 20.0) ** alpha
+    A *= theta / np.linalg.norm(A, 1)
+    out = _matrix_series_mp(alpha, beta, A, 1e-12)
+    ref = ml_matrix_series(alpha, beta, A, 40 + int(theta ** (1.0 / alpha)))
+    assert np.max(np.abs(out - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+def test_matrix_extended_precision_refuses_large_norm():
+    # about 1100 digits would be needed at x = 1000; the series refuses
+    with pytest.raises(EvaluationError, match="infeasible at this norm"):
+        ml_matrix(MLParams(0.7, 1.0), _DEFECTIVE * 1000.0 ** 0.7)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
