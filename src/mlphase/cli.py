@@ -21,7 +21,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .distributions import dist_from_doc, pmml_cdf, pmml_pdf, pmml_sf
+from .distributions import dist_from_doc, pmml_pdf, pmml_sf
+# kept for bench/tracer.py, which wraps this name
+from .distributions import pmml_cdf  # noqa: F401
 from .errors import EvaluationError, ValidationError, _document, _integer, _json
 from .fitting import FitConfig, fit_pmml
 from .rng import RandomStream
@@ -191,8 +193,9 @@ def _cmd_eval(args, manifest: RunManifest) -> int:
     pos = xs > 0.0
     if np.any(pos):
         pdf[pos] = np.atleast_1d(pmml_pdf(model, xs[pos]))
-    cdf = np.atleast_1d(pmml_cdf(model, xs))
     sf = np.atleast_1d(pmml_sf(model, xs))
+    # pmml_cdf's values, bit for bit, without a second survival pass
+    cdf = np.clip(1.0 - sf, 0.0, 1.0)
 
     out = os.path.join(args.out, "eval.csv")
     _write_csv(out, "x,pdf,cdf,survival", zip(xs, pdf, cdf, sf))

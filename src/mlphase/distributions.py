@@ -204,38 +204,43 @@ def _score_block(alpha, p, u, nlogx, ds, tol):
     return dn, da
 
 
-def _erlang_logpdf(alpha, p, rates, nu, x, tol, score=False):
-    """Erlang(p, lam) log-densities, one row per lam in rates, from one
-    scalar-ML call over every rate.
+def _erlang_logpdf(alpha, shapes, rates, nu, x, tol, score=False):
+    """Erlang(p, lam) log-densities, one row per (p, lam) component, from
+    one scalar-ML call per shape p over every component of that shape.
 
     f = (nu/x) h_p(u) with u = lam x^{nu alpha} and
     h_p(u) = u^p E^{(p-1)}(-u) / (p-1)!, E = E_{alpha,alpha}. With score,
-    also the rows D = d log f / d log lam = p - u E^{(p)}(-u) / E^{(p-1)}(-u)
-    (from u h_p'(u) = p (h_p - h_{p+1})) and a = d log f / d alpha at fixed
-    lam and nu, both from _score_block. Then
-    d log f / d log nu = 1 + nu alpha log(x) D.
+    (log f, D, a): also the rows D = d log f / d log lam
+    = p - u E^{(p)}(-u) / E^{(p-1)}(-u) (from u h_p'(u) = p (h_p - h_{p+1}))
+    and a = d log f / d alpha at fixed lam and nu, both from one
+    _score_block per shape. Then d log f / d log nu = 1 + nu alpha log(x) D.
     """
     c = nu * alpha
-    w = np.concatenate([_power_arg(x, c, lam) for lam in rates])
-    ds = _ml_deriv_vec(alpha, alpha, -w, p - 1, tol)
-    ds = np.maximum(ds, 0.0).reshape(len(rates), len(x))
-    with np.errstate(divide="ignore"):
-        logx = (c * p - 1.0) * np.log(x)
-        logf = np.array([math.log(nu) + p * math.log(lam) - gammaln(p)
-                         + logx + np.log(d) for lam, d in zip(rates, ds)])
-    if not score:
-        return logf
-    flat = ds.reshape(-1)
-    dn, da = _score_block(alpha, p, w, np.tile(nu * np.log(x), len(rates)),
-                          flat, tol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (logf, p - (w * dn / flat).reshape(ds.shape),
-                da.reshape(ds.shape))
+    logf = np.empty((len(rates), len(x)))
+    scores, alphas = np.empty_like(logf), np.empty_like(logf)
+    for p in sorted(set(shapes)):
+        blocks = [i for i, q in enumerate(shapes) if q == p]
+        w = np.concatenate([_power_arg(x, c, rates[i]) for i in blocks])
+        ds = _ml_deriv_vec(alpha, alpha, -w, p - 1, tol)
+        ds = np.maximum(ds, 0.0).reshape(len(blocks), len(x))
+        with np.errstate(divide="ignore"):
+            logx = (c * p - 1.0) * np.log(x)
+            logf[blocks] = [math.log(nu) + p * math.log(rates[i]) - gammaln(p)
+                            + logx + np.log(d) for i, d in zip(blocks, ds)]
+        if not score:
+            continue
+        flat = ds.reshape(-1)
+        nlogx = np.tile(nu * np.log(x), len(blocks))
+        dn, da = _score_block(alpha, p, w, nlogx, flat, tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores[blocks] = p - (w * dn / flat).reshape(ds.shape)
+        alphas[blocks] = da.reshape(ds.shape)
+    return (logf, scores, alphas) if score else logf
 
 
 def _erlang_logsf(alpha, shapes, rates, nu, x, tol):
-    """Erlang(p, lam) log-survivals, one row per (p, lam) block, from one
-    scalar-ML call per order s over every block with p > s."""
+    """Erlang(p, lam) log-survivals, one row per (p, lam) component, from
+    one scalar-ML call per order s over every component with p > s."""
     c = nu * alpha
     w = [_power_arg(x, c, lam) for lam in rates]
     terms = [np.empty((p, len(x))) for p in shapes]
@@ -254,37 +259,6 @@ def _erlang_logsf(alpha, shapes, rates, nu, x, tol):
     return np.array([_logsumexp(t) for t in terms])
 
 
-def _mixture_logpdf(alpha, weights, shapes, rates, nu, x, tol, score=False):
-    """log f of an Erlang mixture. With score, (log f, D, a, r): log f the
-    same bits, and per component i (rows) the scores D_i and a_i of
-    _erlang_logpdf and the responsibility r_i = w_i f_i / f."""
-    shapes = [int(p) for p in shapes]
-    rates = [float(lam) for lam in rates]
-    comp = np.empty((len(weights), len(x)))
-    scores = np.empty_like(comp)
-    alphas = np.empty_like(comp)
-    for p in sorted(set(shapes)):
-        blocks = [i for i, q in enumerate(shapes) if q == p]
-        rows = _erlang_logpdf(alpha, p, [rates[i] for i in blocks], nu, x,
-                              tol, score)
-        if score:
-            comp[blocks], scores[blocks], alphas[blocks] = rows
-        else:
-            comp[blocks] = rows
-    w = np.asarray(weights)[:, None]
-    logf = _logsumexp(comp, w)
-    if not score:
-        return logf
-    with np.errstate(invalid="ignore"):  # f = 0 leaves r undefined
-        return logf, scores, alphas, w * np.exp(comp - logf)
-
-
-def _mixture_logsf(alpha, weights, shapes, rates, nu, x, tol):
-    comp = _erlang_logsf(alpha, [int(p) for p in shapes],
-                         [float(lam) for lam in rates], nu, x, tol)
-    return _logsumexp(comp, np.asarray(weights)[:, None])
-
-
 def _logpdf_partials(d, x):
     """(log f, rows, a) for a law whose T splits into Erlang components
     alone (PHGenerator._blocks), at x > 0; None for any other T.
@@ -292,7 +266,8 @@ def _logpdf_partials(d, x):
     log f is mml_logpdf's, bit for bit. The rows are its partials at fixed
     alpha, per point: d/d log lam_i = r_i D_i for each component i of the
     split, then d/d log w_i = r_i with the weights taken as free, then
-    d/d log nu = 1 + nu alpha log x sum_i r_i D_i (_mixture_logpdf's D, r).
+    d/d log nu = 1 + nu alpha log x sum_i r_i D_i, with D_i from
+    _erlang_logpdf and the responsibility r_i = w_i f_i / f.
     a = sum_i r_i a_i is d log f / d alpha per point, nan at a point where
     a component with r_i > 0 has no certified a_i.
     """
@@ -300,10 +275,14 @@ def _logpdf_partials(d, x):
     weights, shapes, rates, rest = ph._blocks
     if rest:
         return None
-    logf, scores, alphas, r = _mixture_logpdf(alpha, weights, shapes, rates,
-                                              nu, x, _TOL, score=True)
-    # a component whose density underflowed has r = 0 and no finite score
+    comp, scores, alphas = _erlang_logpdf(alpha, shapes, rates, nu, x, _TOL,
+                                          score=True)
+    w = np.asarray(weights)[:, None]
+    logf = _logsumexp(comp, w)
+    # f = 0 leaves r undefined; a component whose density underflowed has
+    # r = 0 and no finite score
     with np.errstate(invalid="ignore"):
+        r = w * np.exp(comp - logf)
         live = r > 0.0
         rd = np.where(live, r * scores, 0.0)
         ra = np.where(live, r * alphas, 0.0).sum(0)
@@ -352,8 +331,8 @@ def _dispatch_logpdf(alpha, ph, nu, x, tol):
     weights, shapes, rates, rest = ph._blocks
     parts = []
     if len(weights):
-        parts.append(_mixture_logpdf(alpha, weights, shapes, rates, nu, x,
-                                     tol))
+        rows = _erlang_logpdf(alpha, shapes, rates, nu, x, tol)
+        parts.append(_logsumexp(rows, np.asarray(weights)[:, None]))
     if rest:
         c = nu * alpha
         dens = _general_form(alpha, alpha, ph, rest, ph.exit_vector,
@@ -368,8 +347,8 @@ def _dispatch_logsf(alpha, ph, nu, x, tol):
     weights, shapes, rates, rest = ph._blocks
     parts = []
     if len(weights):
-        parts.append(_mixture_logsf(alpha, weights, shapes, rates, nu, x,
-                                    tol))
+        rows = _erlang_logsf(alpha, shapes, rates, nu, x, tol)
+        parts.append(_logsumexp(rows, np.asarray(weights)[:, None]))
     if rest:
         sf = _general_form(alpha, 1.0, ph, rest, np.ones(ph.dim),
                            _power_arg(x, nu * alpha), tol)

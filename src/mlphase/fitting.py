@@ -362,17 +362,18 @@ def _objective(data: np.ndarray, config: FitConfig, wall: float):
     return obj
 
 
-def _canonical_model(model: PMMLDist, config: FitConfig):
-    """Sort mixture components by ascending rate to kill label switching."""
+def _canonical_model(theta: np.ndarray, config: FitConfig) -> PMMLDist:
+    """The decoded model of theta, mixture components sorted by ascending
+    rate to kill label switching."""
+    model = _decode(theta, config)
     if config.structure != MIXTURE_ERLANG:
         return model
-    gen = model.ph
-    w = np.asarray(gen.params["weights"], dtype=float)
-    shapes = np.asarray(gen.params["shapes"], dtype=int)
-    rates = np.asarray(gen.params["rates"], dtype=float)
+    *_, sw, sr = _layout(config)
+    rates = np.exp(theta[sr])
     order = np.argsort(rates)
-    gen2 = make_mixture_erlang(w[order], shapes[order], rates[order])
-    return PMMLDist(MMLDist(model.alpha, gen2), model.nu)
+    gen = make_mixture_erlang(_softmax(theta[sw])[order],
+                              np.asarray(config.shapes)[order], rates[order])
+    return PMMLDist(MMLDist(model.alpha, gen), model.nu)
 
 
 def _fit_single(data: np.ndarray, config: FitConfig, stream: RandomStream) -> FitResult:
@@ -411,7 +412,7 @@ def _fit_single(data: np.ndarray, config: FitConfig, stream: RandomStream) -> Fi
 
     if best is None:
         return _failed(config, stream, "all restarts diverged", trace)
-    model = _canonical_model(_decode(best.x, config), config)
+    model = _canonical_model(best.x, config)
     ti = float(model.tail_index)
     return FitResult(
         model=model,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import mlphase.distributions as distmod
 import mlphase.semimarkov as smmod
 from mlphase.cli import main
 from mlphase.errors import ValidationError
@@ -68,6 +69,23 @@ def test_eval_grid_matches_library(tmp_path):
     assert len(man["inputs"][model]) == 64
     assert any(p.endswith("eval.csv") for p in man["outputs"])
     assert man["wall_time_s"] >= 0.0
+
+
+def test_eval_makes_one_survival_pass(tmp_path, monkeypatch):
+    # the cdf column is 1 - survival, so eval evaluates log S once
+    calls = []
+    fn = distmod._dispatch_logsf
+
+    def spy(*args):
+        calls.append(len(args[3]))
+        return fn(*args)
+
+    monkeypatch.setattr(distmod, "_dispatch_logsf", spy)
+    model = _model_file(tmp_path, MMLDist(0.7, make_erlang(4, 2.0)))
+    assert main(["eval", "--model", model, "--out", str(tmp_path / "run"),
+                 "--grid-min", "0", "--grid-max", "10",
+                 "--grid-points", "50"]) == 0
+    assert calls == [49]
 
 
 def test_eval_alpha_one_is_phase_type_density(tmp_path):

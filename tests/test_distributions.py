@@ -44,8 +44,6 @@ from mlphase.distributions import (
     _erlang_logpdf,
     _erlang_logsf,
     _logsumexp,
-    _mixture_logpdf,
-    _mixture_logsf,
 )
 from conftest import standard_models
 
@@ -244,20 +242,21 @@ def test_untagged_far_tail_finite(name, d):
 ])
 @pytest.mark.parametrize("nu", [1.0, 1.5])
 def test_mixture_cores_match_per_component(weights, shapes, rates, nu):
-    # the mixture cores make one scalar-ML call per order over all
-    # components; the result must be the same bits as one call per component
+    # the Erlang cores make one scalar-ML call per shape (density) or per
+    # order (survival) over all components; the mixture they join to must be
+    # the same bits as one call per component
     alpha, tol = 0.9, 1e-12
     x = np.geomspace(1e-4, 1e4, 101)
     b = np.asarray(weights)[:, None]
-    pdf = [_erlang_logpdf(alpha, p, [lam], nu, x, tol)[0]
+    pdf = [_erlang_logpdf(alpha, [p], [lam], nu, x, tol)[0]
            for p, lam in zip(shapes, rates)]
     sf = [_erlang_logsf(alpha, [p], [lam], nu, x, tol)[0]
           for p, lam in zip(shapes, rates)]
     assert np.array_equal(
-        _mixture_logpdf(alpha, weights, shapes, rates, nu, x, tol),
+        _logsumexp(_erlang_logpdf(alpha, shapes, rates, nu, x, tol), b),
         logsumexp(pdf, axis=0, b=b))
     assert np.array_equal(
-        _mixture_logsf(alpha, weights, shapes, rates, nu, x, tol),
+        _logsumexp(_erlang_logsf(alpha, shapes, rates, nu, x, tol), b),
         logsumexp(sf, axis=0, b=b))
 
 
@@ -267,10 +266,11 @@ def test_score_block_slices_are_independent(p):
     # must not depend on which slice it lands in or on its neighbours
     alpha, nu, rates = 0.9, 1.3, [10.0, 1.0, 0.1]
     x = np.geomspace(1e-4, 1e6, 301)
-    _, D, a = _erlang_logpdf(alpha, p, rates, nu, x, 1e-12, score=True)
+    shapes = [p] * len(rates)
+    _, D, a = _erlang_logpdf(alpha, shapes, rates, nu, x, 1e-12, score=True)
     for lo in range(0, len(x), 37):
         sl = slice(lo, lo + 37)
-        _, Ds, as_ = _erlang_logpdf(alpha, p, rates, nu, x[sl], 1e-12,
+        _, Ds, as_ = _erlang_logpdf(alpha, shapes, rates, nu, x[sl], 1e-12,
                                     score=True)
         assert np.allclose(Ds, D[:, sl], rtol=1e-13, atol=0.0)
         assert np.allclose(as_, a[:, sl], rtol=1e-13, atol=1e-13,
@@ -286,9 +286,8 @@ def test_logsumexp_matches_scipy(name, d, nu):
     weights, shapes, rates, _ = d.ph._blocks
     x = np.geomspace(1e-6, 1e6, 61)
     b = np.asarray(weights)[:, None]
-    pdf = np.array([_erlang_logpdf(d.alpha, p, [lam], nu, x, 1e-12)[0]
-                    for p, lam in zip(shapes, rates)])
-    sf = _erlang_logsf(d.alpha, list(shapes), list(rates), nu, x, 1e-12)
+    pdf = _erlang_logpdf(d.alpha, shapes, rates, nu, x, 1e-12)
+    sf = _erlang_logsf(d.alpha, shapes, rates, nu, x, 1e-12)
     for comp, w in ((pdf, b), (sf, b), (pdf, None)):
         want = logsumexp(comp, axis=0, b=w)
         got = _logsumexp(comp, w)

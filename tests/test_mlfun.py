@@ -312,15 +312,17 @@ def test_matrix_uniform_bidiagonal():
 
 
 def test_matrix_bidiagonal_scaled():
-    # aI + bN: superdiagonal s carries E^{(s)}(a) b^s / s!
-    a, b = -2.0, 0.5
-    A = np.diag([a] * 4) + np.diag([b] * 3, 1)
-    out = ml_matrix(MLParams(0.7, 1.0), A)
+    # aI + bN: superdiagonal s carries E^{(s)}(a) b^s / s!, whose sign
+    # alternates with s when b < 0
+    a = -2.0
     p = MLParams(0.7, 1.0)
-    for s in range(4):
-        coef = b ** s / math.factorial(s)
-        ref = ml_deriv(p, a, s).real * coef
-        assert np.max(_rel(np.diag(out, s), ref)) < 1e-12
+    for b in (0.5, -0.5):
+        A = np.diag([a] * 4) + np.diag([b] * 3, 1)
+        out = ml_matrix(p, A)
+        for s in range(4):
+            coef = b ** s / math.factorial(s)
+            ref = ml_deriv(p, a, s).real * coef
+            assert np.max(_rel(np.diag(out, s), ref)) < 1e-12, (b, s)
 
 
 def test_matrix_bidiagonal_far_tail_finite():
