@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Commands: eval, sample, simulate-sm, fit, hill, qq. Every run writes its
-numeric outputs atomically (temp file + rename) plus a manifest recording the
-argv echo, seed, config, input digests, output paths, and wall time. Floats
-serialize with shortest round-trip representation, so reruns with identical
-seed and inputs are byte-identical.
+outputs atomically (temp file + rename; a failed write deletes the temp
+file) plus a manifest of argv, seed, config, input digests, output paths and
+wall time. CSV values are repr(float(v)), the shortest round-trip form, so
+reruns with identical seed and inputs are byte-identical; rows are written
+_BLOCK_ROWS at a time, never held whole.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure,
 4 non-convergence.
@@ -58,22 +59,38 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of chunks one at a time to a temp file, then rename
+    it onto path; on failure the temp file is deleted, path left as it was."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+_BLOCK_ROWS = 8192
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _csv_blocks(header: str, columns):
+    """The header line, then the rows of the float columns _BLOCK_ROWS at a
+    time, each block formatted by one % on its flattened values."""
+    yield header + "\n"
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    for i in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.stack([c[i:i + _BLOCK_ROWS] for c in columns], axis=1,
+                         dtype=float)
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _write_csv(args, manifest, name: str, header: str, *columns) -> None:
+    """Write the float columns to name in --out and record the output."""
+    out = os.path.join(args.out, name)
+    _atomic_write(out, _csv_blocks(header, columns))
+    manifest.outputs.append(out)
 
 
 def _read_text(path: str) -> str:
@@ -91,10 +108,6 @@ def _read_doc(path: str):
 # ---------------------------------------------------------------------------
 # data ingestion
 
-def _parse_fields(line: str):
-    return [f.strip() for f in line.split(",")]
-
-
 def _parse_float(tok: str) -> float | None:
     try:
         return float(tok)
@@ -108,8 +121,8 @@ def _ingest(path: str, column: str | None) -> np.ndarray:
     Header row is optional and auto-detected; nonpositive or unparseable
     values are reported with their 1-based line numbers.
     """
-    lines = [ln for ln in _read_text(path).splitlines()]
-    rows = [(i + 1, _parse_fields(ln)) for i, ln in enumerate(lines) if ln.strip()]
+    rows = [(i + 1, [f.strip() for f in ln.split(",")])
+            for i, ln in enumerate(_read_text(path).splitlines()) if ln.strip()]
     if not rows:
         raise ValidationError(f"{path}: no data rows")
 
@@ -154,11 +167,8 @@ def _prepare_data(args) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fit config
 
-_STRUCTURE_ALIASES = {
-    "mixtureerlang": "mixture_erlang",
-    "coxian": "coxian",
-    "exponential": "exponential",
-}
+_STRUCTURE_ALIASES = {s.replace("_", ""): s
+                      for s in ("mixture_erlang", "coxian", "exponential")}
 
 _CONFIG_KEYS = {f.name for f in fields(FitConfig)}
 
@@ -197,35 +207,27 @@ def _cmd_eval(args, manifest: RunManifest) -> int:
     # pmml_cdf's values, bit for bit, without a second survival pass
     cdf = np.clip(1.0 - sf, 0.0, 1.0)
 
-    out = os.path.join(args.out, "eval.csv")
-    _write_csv(out, "x,pdf,cdf,survival", zip(xs, pdf, cdf, sf))
-    manifest.outputs.append(out)
-    return 0
-
-
-def _write_draws(args, manifest: RunManifest, name: str, draw) -> int:
-    """Write draw(rng, n) for n = --num and the --seed stream as one
-    "value" column."""
-    n = _integer(args.num, "-n", "[1, inf)")
-    out = os.path.join(args.out, name)
-    draws = draw(RandomStream(args.seed), n)
-    _atomic_write(out, "value\n" + "\n".join(_fmt(v) for v in draws) + "\n")
-    manifest.outputs.append(out)
+    _write_csv(args, manifest, "eval.csv", "x,pdf,cdf,survival",
+               xs, pdf, cdf, sf)
     return 0
 
 
 def _cmd_sample(args, manifest: RunManifest) -> int:
     model = dist_from_doc(_read_doc(args.model))
     manifest.inputs[args.model] = _digest(args.model)
-    return _write_draws(args, manifest, "samples.csv",
-                        lambda rng, n: sample_pmml(model, rng, size=n))
+    draws = sample_pmml(model, RandomStream(args.seed),
+                        size=_integer(args.num, "-n", "[1, inf)"))
+    _write_csv(args, manifest, "samples.csv", "value", draws)
+    return 0
 
 
 def _cmd_simulate_sm(args, manifest: RunManifest) -> int:
     spec = sm_from_doc(_read_doc(args.spec))
     manifest.inputs[args.spec] = _digest(args.spec)
-    return _write_draws(args, manifest, "absorption.csv",
-                        lambda rng, n: simulate_absorption(spec, rng, size=n))
+    draws = simulate_absorption(spec, RandomStream(args.seed),
+                                size=_integer(args.num, "-n", "[1, inf)"))
+    _write_csv(args, manifest, "absorption.csv", "value", draws)
+    return 0
 
 
 def _cmd_fit(args, manifest: RunManifest) -> int:
@@ -233,46 +235,35 @@ def _cmd_fit(args, manifest: RunManifest) -> int:
     manifest.inputs[args.config] = _digest(args.config)
     manifest.inputs[args.data] = _digest(args.data)
     data = _prepare_data(args)
-    rng = RandomStream(args.seed)
-    result = fit_pmml(data, config, rng)
+    result = fit_pmml(data, config, RandomStream(args.seed))
 
+    text = result.to_json()
     out_fit = os.path.join(args.out, "fit.json")
-    _atomic_write(out_fit, result.to_json() + "\n")
+    _atomic_write(out_fit, (text, "\n"))
     manifest.outputs.append(out_fit)
-    manifest.config = json.loads(result.to_json())["config"]
+    manifest.config = json.loads(text)["config"]
 
     if result.model is not None:
-        qq = qq_uniform(result.model, data)
-        out_qq = os.path.join(args.out, "qq.csv")
-        _write_csv(out_qq, "theoretical,empirical", qq)
-        manifest.outputs.append(out_qq)
+        _write_csv(args, manifest, "qq.csv", "theoretical,empirical",
+                   *qq_uniform(result.model, data).T)
     if data.size >= 3:
-        hill = hill_curve(data)
-        out_hill = os.path.join(args.out, "hill.csv")
-        _write_csv(out_hill, "k,hill", hill)
-        manifest.outputs.append(out_hill)
+        _write_csv(args, manifest, "hill.csv", "k,hill", *hill_curve(data).T)
 
     if args.exp_transform and result.model is not None:
         # density of the original (pre-transform) variable implied by the fit
         orig = np.log1p(data)
         xs = np.linspace(float(orig.min()), float(orig.max()), 200)
         xs = np.maximum(xs, 1e-12)
-        y = np.expm1(xs)
-        dens = np.atleast_1d(pmml_pdf(result.model, y)) * np.exp(xs)
-        out_bd = os.path.join(args.out, "back_density.csv")
-        _write_csv(out_bd, "x,density", zip(xs, dens))
-        manifest.outputs.append(out_bd)
+        dens = np.atleast_1d(pmml_pdf(result.model, np.expm1(xs))) * np.exp(xs)
+        _write_csv(args, manifest, "back_density.csv", "x,density", xs, dens)
 
     return 0 if result.converged else 4
 
 
 def _cmd_hill(args, manifest: RunManifest) -> int:
     manifest.inputs[args.data] = _digest(args.data)
-    data = _prepare_data(args)
-    curve = hill_curve(data)
-    out = os.path.join(args.out, "hill.csv")
-    _write_csv(out, "k,hill", curve)
-    manifest.outputs.append(out)
+    _write_csv(args, manifest, "hill.csv", "k,hill",
+               *hill_curve(_prepare_data(args)).T)
     return 0
 
 
@@ -280,11 +271,8 @@ def _cmd_qq(args, manifest: RunManifest) -> int:
     model = dist_from_doc(_read_doc(args.model))
     manifest.inputs[args.model] = _digest(args.model)
     manifest.inputs[args.data] = _digest(args.data)
-    data = _prepare_data(args)
-    qq = qq_uniform(model, data)
-    out = os.path.join(args.out, "qq.csv")
-    _write_csv(out, "theoretical,empirical", qq)
-    manifest.outputs.append(out)
+    _write_csv(args, manifest, "qq.csv", "theoretical,empirical",
+               *qq_uniform(model, _prepare_data(args)).T)
     return 0
 
 
@@ -363,7 +351,7 @@ def main(argv=None) -> int:
         return 3
     manifest.wall_time_s = time.perf_counter() - t0
     path = os.path.join(args.out, "manifest.json")
-    _atomic_write(path, manifest.to_json() + "\n")
+    _atomic_write(path, (manifest.to_json(), "\n"))
     return code
 
 

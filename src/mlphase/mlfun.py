@@ -554,12 +554,15 @@ def ml_matrix(params: MLParams, A) -> np.ndarray:
         # finite product, not inf * 0
         a, b = ab
         out = np.zeros((p, p))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             for s in range(p if b else 1):
                 e = _ml_deriv_vec(alpha, beta, np.array([a]), s, tol)[0]
                 if s:
                     mag = np.exp(s * np.log(abs(b)) - math.lgamma(s + 1.0)
                                  + np.log(abs(e)))
+                    if np.isinf(mag):
+                        raise EvaluationError(f"bidiagonal coefficient {s} "
+                                              "exceeds the float range")
                     sign = -1.0 if b < 0 and s % 2 else 1.0
                     e = np.copysign(mag, e) * sign
                 np.fill_diagonal(out[:, s:], e)

@@ -454,7 +454,7 @@ def _absorb(g, pi, cum, hold, n, max_jumps):
         st = state[idx]
         total[idx] += hold(st)
         u = g.random(len(idx))
-        nxt = (u[:, None] > cum[st]).sum(axis=1)
+        nxt = sum(u > cum[st, j] for j in range(p + 1))  # a column at a time
         state[idx] = nxt
         active[idx] = nxt < p
         jumps += 1

@@ -36,14 +36,18 @@ def sample_positive_stable(alpha: float, rng: RandomStream, size=None):
     g = rng.generator
     u = g.uniform(0.0, np.pi, n)
     e = g.standard_exponential(n)
-    # log-space evaluation keeps the u -> 0, pi endpoints finite-safe
-    su = np.maximum(np.sin(u), 1e-300)
-    sa = np.maximum(np.sin(alpha * u), 1e-300)
-    sb = np.maximum(np.sin((1.0 - alpha) * u), 1e-300)
-    e = np.maximum(e, 1e-300)
+    # log space keeps the u -> 0, pi endpoints finite; summed left to right
     r = (1.0 - alpha) / alpha
-    logs = np.log(sa) + r * np.log(sb) - np.log(su) / alpha - r * np.log(e)
-    out = np.exp(logs)
+    acc, buf = alpha * u, (1.0 - alpha) * u
+    for v in (acc, buf, u):
+        np.sin(v, out=v)
+    for v in (acc, buf, u, e):
+        np.maximum(v, 1e-300, out=v)
+        np.log(v, out=v)
+    acc += np.multiply(buf, r, out=buf)
+    acc -= np.divide(u, alpha, out=u)
+    acc -= np.multiply(e, r, out=e)
+    out = np.exp(acc, out=acc)
     return float(out[0]) if scalar else out
 
 
@@ -116,8 +120,9 @@ def sample_mml(d: MMLDist, rng: RandomStream, size=None):
         raise ValidationError("expected an MMLDist")
     w_stream, s_stream = rng.split(2)
     w = ph_sample(d.ph, w_stream, size)
-    s = sample_positive_stable(d.alpha, s_stream, size)
-    return w ** (1.0 / d.alpha) * s
+    w **= 1.0 / d.alpha
+    w *= sample_positive_stable(d.alpha, s_stream, size)
+    return w
 
 
 def sample_pmml(d: PMMLDist, rng: RandomStream, size=None):
@@ -127,4 +132,5 @@ def sample_pmml(d: PMMLDist, rng: RandomStream, size=None):
     if not isinstance(d, PMMLDist):
         raise ValidationError("expected a PMMLDist")
     x = sample_mml(d.base, rng, size)
-    return x ** (1.0 / d.nu)
+    x **= 1.0 / d.nu
+    return x

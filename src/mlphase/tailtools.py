@@ -41,12 +41,15 @@ def hill_curve(data) -> np.ndarray:
     n = x.size
     if n < 3:
         raise ValidationError("need at least 3 observations")
-    ls = np.log(np.sort(x))
-    # cumulative sums of the top k log order statistics
-    top = np.cumsum(ls[::-1][: n - 1])
-    k = np.arange(1, n)
-    hk = top / k - ls[n - 1 - k]
-    return np.column_stack((k.astype(float), hk))
+    ls = np.sort(x)
+    np.log(ls, out=ls)
+    out = np.empty((n - 1, 2))
+    out[:, 0] = np.arange(1, n)
+    # cumulative sums of the top k log order statistics, then H_k in place
+    hk = np.cumsum(ls[: 0: -1], out=out[:, 1])
+    hk /= out[:, 0]
+    hk -= ls[-2::-1]
+    return out
 
 
 def exp_transform(data) -> DataSeries:

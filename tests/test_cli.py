@@ -1,14 +1,16 @@
 """End-to-end command-line tests: file formats, exit codes, reproducibility."""
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import mlphase.cli as climod
 import mlphase.distributions as distmod
 import mlphase.semimarkov as smmod
-from mlphase.cli import main
+from mlphase.cli import _BLOCK_ROWS, _atomic_write, _csv_blocks, main
 from mlphase.errors import ValidationError
 from mlphase.fitting import FitConfig
 from mlphase.distributions import (
@@ -425,3 +427,75 @@ def test_qq_command(tmp_path):
     tab = np.loadtxt(os.path.join(out, "qq.csv"), delimiter=",", skiprows=1)
     assert np.array_equal(tab[:, 0], np.arange(1, 51) / 51.0)
     assert np.array_equal(tab[:, 1], pmml_cdf(d, np.sort(x)))
+
+
+# ---------------------------------------------------------------- CSV writer
+
+# values whose shortest round-trip form is easy to get wrong
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+            1e16, 1e22, 1e-7, 0.1, 1.0 / 3.0, 1.0, 3.0, -2.0, 123456789.0,
+            2.0 ** 53, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 4])
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                  _BLOCK_ROWS + 1])
+def test_csv_writer_bytes(tmp_path, rows, ncols):
+    rng = np.random.default_rng(100 * rows + ncols)
+    pool = np.concatenate([_SPECIAL, rng.standard_normal(500)
+                           * 10.0 ** rng.integers(-300, 300, 500)])
+    cols = [np.resize(np.roll(pool, 5 * j), rows) for j in range(ncols)]
+    header = ",".join(f"c{j}" for j in range(ncols))
+    path = str(tmp_path / "t.csv")
+    _atomic_write(path, _csv_blocks(header, cols))
+    lines = [header] + [",".join(repr(float(c[i])) for c in cols)
+                        for i in range(rows)]
+    assert open(path, "rb").read() == ("\n".join(lines) + "\n").encode()
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_sample_streams_draws(tmp_path, monkeypatch):
+    # 400k draws are about 7 MB of text; formatted a block at a time the
+    # write never holds the whole file (the draws are made before tracing)
+    draws = np.random.default_rng(3).pareto(1.0, 400_000)
+    monkeypatch.setattr(climod, "sample_pmml", lambda model, rng, size: draws)
+    model = _model_file(tmp_path, MMLDist(0.5, make_erlang(1, 1.0)))
+    out = str(tmp_path / "run")
+    tracemalloc.start()
+    try:
+        assert main(["sample", "--model", model, "--out", out,
+                     "-n", str(draws.size)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    with open(os.path.join(out, "samples.csv")) as fh:
+        assert fh.readline() == "value\n"
+        assert fh.readline() == repr(float(draws[0])) + "\n"
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    model = _model_file(tmp_path, MMLDist(0.5, make_erlang(1, 1.0)))
+    out = tmp_path / "run"
+    argv = ["sample", "--model", model, "--out", str(out), "-n", "20000"]
+    assert main(argv) == 0
+    before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+
+    def failing(header, columns):
+        blocks = _csv_blocks(header, columns)
+        yield next(blocks)
+        yield next(blocks)
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(climod, "_csv_blocks", failing)
+    with pytest.raises(OSError, match="No space"):
+        main(argv + ["--seed", "1"])
+    assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
+
+    def chunks():
+        yield "{"
+        raise ValueError("not serializable")
+
+    with pytest.raises(ValueError):
+        _atomic_write(str(out / "manifest.json"), chunks())
+    assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before

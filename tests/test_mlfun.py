@@ -336,6 +336,14 @@ def test_matrix_bidiagonal_far_tail_finite():
     assert _rel(out[0, 0], ml_eval(p, a)) < 1e-13
 
 
+def test_matrix_bidiagonal_coefficient_overflow_raises():
+    # b^2 / 2! E''(a) at a = -3, b = 1e300 exceeds the float range: a typed
+    # error, not inf with a RuntimeWarning
+    A = np.diag([-3.0] * 3) + 1e300 * np.eye(3, k=1)
+    with pytest.raises(EvaluationError, match="float range"):
+        ml_matrix(MLParams(0.7, 1.0), A)
+
+
 def test_matrix_block_structure():
     B1 = np.array([[-2.0, 1.0], [0.5, -3.0]])
     B2 = np.array([[-1.0]])

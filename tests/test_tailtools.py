@@ -44,6 +44,31 @@ def test_hill_tie_emits_zero():
     assert np.all(np.isfinite(curve))
 
 
+def _hill_reference(x):
+    """H_k by the formula with full-size temporaries: the reference that
+    hill_curve's in-place form must match bit for bit."""
+    ls = np.log(np.sort(np.asarray(x, dtype=float)))
+    n = ls.size
+    top = np.cumsum(ls[::-1][: n - 1])
+    k = np.arange(1, n)
+    return np.column_stack((k.astype(float), top / k - ls[n - 1 - k]))
+
+
+@pytest.mark.parametrize("x", [
+    [1.0, np.e, np.e ** 2],
+    [3.0, 3.0, 3.0],
+    [2.0, 0.5, 7.0],
+    [1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 0.5, 0.5],
+    np.round(np.random.default_rng(5).pareto(1.5, 20_001) + 1.0, 2),
+    sample_pmml(PMMLDist(MMLDist(0.5, make_erlang(1, 1.0)), 2.0),
+                RandomStream(6), size=50_000),
+], ids=["n3", "n3-ties", "n3-unsorted", "ties", "rounded-pareto", "pmml"])
+def test_hill_bits_match_formula(x):
+    got = hill_curve(x)
+    ref = _hill_reference(x)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_hill_k_column():
     n = 40
     curve = hill_curve(np.linspace(1.0, 9.0, n))
