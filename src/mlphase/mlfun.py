@@ -37,6 +37,7 @@ alpha in (1, 2) is reduced to alpha/2 by
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,35 +82,72 @@ def _factorial(k):
     return math.prod(range(1, k + 1), start=1.0)
 
 
+def _series_coeffs(alpha, beta, k, n):
+    """c_j = (j+k)!/j! / Gamma(alpha (j+k) + beta) for j < n, the falling
+    factorial as a running product of (j+k)/j."""
+    j = np.arange(n)
+    ratio = np.empty(n)
+    ratio[0] = _factorial(k)
+    ratio[1:] = (j[1:] + k) / j[1:]
+    return np.cumprod(ratio) * rgamma(alpha * (j + k) + beta)
+
+
 def _series_vec(alpha, beta, z, k, tol, jmax=700):
     """Term-wise differentiated power series for the k-th derivative.
 
     Returns (values, ok): ok[i] is False when float64 cannot certify the
     requested tolerance at z[i] given the cancellation seen in the sum.
     The values have the dtype of z, real or complex.
+
+    Point i is done at its first term t_j = c_j z_i^j past j = 2 below
+    1e-17 of its partial sum, and every sum stops at the first j > 4 at
+    which all points are done (or at jmax terms). The terms sit in one
+    table, a row per j, with as many rows as the bound |c_j| max|z|^j takes
+    to fall 20 decades below its peak; the table doubles, up to jmax rows,
+    while some point is not done. The powers are repeated multiplies and
+    the sums run row by row, so every value rounds as in a term-by-term
+    loop.
     """
     z = np.asarray(z)
-    out = np.zeros_like(z)
-    absum = np.zeros(z.shape, dtype=float)
-    zp = np.ones_like(z)
-    done = np.zeros(z.shape, dtype=bool)
-    # falling-factorial coefficient (j+k)!/j!, updated multiplicatively
-    coef = _factorial(k)
-    j = 0
-    while j < jmax:
-        term = (coef * rgamma(alpha * (j + k) + beta)) * zp
-        out += term
-        absum += np.abs(term)
-        small = np.abs(term) < 1e-17 * (np.abs(out) + 1e-300)
-        done |= small & (j > 2)
-        if done.all() and j > 4:
+    m = np.abs(z).max(initial=0.0)
+    n = 32
+    while True:
+        c = _series_coeffs(alpha, beta, k, n)
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            bound = np.abs(c) * m ** np.arange(n)
+            past = bound[6:] <= 1e-20 * np.maximum.accumulate(bound)[6:]
+        if past.any() or n == jmax:
             break
-        j += 1
-        coef *= (j + k) / j
-        zp = zp * z
-    amp = absum / (np.abs(out) + 1e-300)
+        n = min(2 * n, jmax)
+    rows = 7 + int(past.argmax()) if past.any() else n
+    while True:
+        t = np.empty((rows, z.size), dtype=z.dtype)
+        t[0] = 1.0
+        for j in range(1, rows):
+            np.multiply(t[j - 1], z, out=t[j])
+        t *= c[:rows, None]
+        s = t.copy()
+        for j in range(1, rows):
+            s[j] += s[j - 1]
+        at = np.abs(t)
+        lim = np.abs(s[3:])
+        lim += 1e-300
+        lim *= 1e-17
+        small = at[3:] < lim
+        done = small.any(axis=0)
+        if done.all() or rows == jmax:
+            break
+        rows = min(2 * rows, jmax)
+        if rows > c.size:
+            c = _series_coeffs(alpha, beta, k, rows)
+    last = rows - 1
+    if done.all():
+        last = max(5, 3 + int(small.argmax(axis=0).max(initial=0)))
+    for j in range(1, last + 1):  # running sums of |t_j|, row by row too
+        at[j] += at[j - 1]
+    amp = at[last] / (np.abs(s[last]) + 1e-300)
     ok = done & (amp * _EPS < 0.1 * tol)
-    return out, ok
+    return s[last], ok
 
 
 # kept for bench/tracer.py, which wraps this name
@@ -254,7 +292,8 @@ def _offpole_nodes(alpha, beta, tol, k, real):
     alpha >= 0.999 and halved at k >= 4. With real, the nodes are folded
     onto u >= 0: for a real argument the terms at -u are the conjugates of
     those at u, so every node but u = 0 keeps twice its weight, and the
-    caller takes the real part of its sum.
+    caller takes the real part of its sum. A set depends on k only through
+    d, and is built once per (alpha, beta, tol, d, real) by _offpole_set.
     """
     d = 1.0
     if alpha >= 0.999:
@@ -265,10 +304,18 @@ def _offpole_nodes(alpha, beta, tol, k, real):
         # the powered denominator magnifies the trapezoid error of the
         # nearest singularity; a half-width strip holds the target to k = 8
         d *= 0.5
+    return _offpole_set(alpha, beta, tol, d, real)
+
+
+@functools.lru_cache(maxsize=32)
+def _offpole_set(alpha, beta, tol, d, real):
+    """The node set of _offpole_nodes for strip half-width d, built once per
+    key and shared by every caller, so its arrays are read-only."""
     s, w = _contour_nodes(alpha, beta, tol, mu=1.0, d=d)
     if real:
         mid = s.size // 2  # the node u = 0
         s, w = s[mid:], np.concatenate((w[mid:mid + 1], 2.0 * w[mid + 1:]))
+    s.flags.writeable = w.flags.writeable = False
     return s, w
 
 
@@ -470,48 +517,63 @@ def _matrix_series_f64(alpha, beta, A, tol, kmax=2000):
 
 
 def _matrix_series_mp(alpha, beta, A, tol):
-    """E_{alpha,beta}(A) by its power series, at dps = 30 + 0.434
-    ||A||_1^(1/alpha) digits to cover its cancellation; refused above 350.
+    """E_{alpha,beta}(A) by its power series, summed exactly in integers at
+    the precision its cancellation calls for, found by a guess and a check.
+
+    The guess is dps = 35 + 0.434 rho^(1/alpha) digits, rho the spectral
+    radius of A: the digits the series loses when A is normal. The sum stops
+    at k > 8 once max|t_k| < 1e-20 max|sum|, far below what a float64 result
+    resolves. Then log10(sum_k max|t_k| / max|E|) gives the digits it did
+    lose; when dps falls short of them plus 25, the sum runs again at 35
+    digits past them. A precision above 350 digits is refused.
 
     The terms t_k = c_k A^k, c_k = 1/Gamma(alpha k + beta) from mpmath, are
     Python integers in the unit 2^-(prec + 64) c_0 (c_0 rounded up to a power
     of two) and t_k = (c_k / c_{k-1}) (t_{k-1} A): no power of A outgrows its
     term. A's entries, read as the decimals of their repr, and the ratios are
-    integers in the unit 2^-(prec + 64). The sum stops at k > 8 once
-    max|t_k| < 10^-(dps - 8) max|sum|; entries round by exact integer division.
+    integers in the unit 2^-(prec + 64). Entries round by exact integer
+    division.
     """
     import mpmath as mp
     p = A.shape[0]
-    theta = float(np.linalg.norm(A, 1))
-    dps = int(30 + 0.434 * theta ** (1.0 / alpha))
-    if dps > 350:
-        raise EvaluationError("matrix series fallback infeasible at this norm")
-    with mp.workdps(dps):
-        G = mp.mp.prec + 64
+    kmax = int(4 * float(np.linalg.norm(A, 1)) ** (1.0 / alpha) / alpha + 200)
+    lost = 0.434 * float(np.abs(np.linalg.eigvals(A)).max()) ** (1.0 / alpha)
+    while True:
+        dps = int(35 + lost)
+        if dps > 350:
+            raise EvaluationError(
+                "matrix series fallback infeasible at this norm")
+        with mp.workdps(dps):
+            G = mp.mp.prec + 64
 
-        def fixed(v, bits=G):
-            return int(mp.ldexp(v, bits))
+            def fixed(v, bits=G):
+                return int(mp.ldexp(v, bits))
 
-        a, b = mp.mpf(repr(alpha)), mp.mpf(repr(beta))
-        M = np.array([[fixed(mp.mpf(repr(float(v)))) for v in row]
-                      for row in A], dtype=object)
-        c = mp.rgamma(b)
-        F = G - int(mp.frexp(c)[1])
-        t = np.zeros((p, p), dtype=object)
-        np.fill_diagonal(t, fixed(c, F))
-        acc = t.copy()
-        scale = 10 ** (dps - 8)
-        for k in range(1, int(4 * theta ** (1.0 / alpha) / alpha + 200)):
-            ck = mp.rgamma(a * k + b)
-            t = (t @ M) * fixed(ck / c) >> 2 * G
-            c = ck
-            acc += t
-            # one unit as the floor: a zero sum stops once its terms are zero
-            if k > 8 and np.abs(t).max() * scale < np.abs(acc).max() + 1:
-                break
-        else:
-            raise EvaluationError("matrix series did not converge")
-        return (acc / (1 << F)).astype(float)
+            a, b = mp.mpf(repr(alpha)), mp.mpf(repr(beta))
+            M = np.array([[fixed(mp.mpf(repr(float(v)))) for v in row]
+                          for row in A], dtype=object)
+            c = mp.rgamma(b)
+            F = G - int(mp.frexp(c)[1])
+            t = np.zeros((p, p), dtype=object)
+            np.fill_diagonal(t, fixed(c, F))
+            acc = t.copy()
+            total = fixed(c, F)
+            for k in range(1, kmax):
+                ck = mp.rgamma(a * k + b)
+                t = (t @ M) * fixed(ck / c) >> 2 * G
+                c = ck
+                acc += t
+                top = np.abs(t).max()
+                total += top
+                # one unit as the floor: a zero sum stops once its terms are
+                # zero
+                if k > 8 and top * 10 ** 20 < np.abs(acc).max() + 1:
+                    break
+            else:
+                raise EvaluationError("matrix series did not converge")
+        lost = math.log10(total) - math.log10(max(np.abs(acc).max(), 1))
+        if lost + 25 <= dps:
+            return (acc / (1 << F)).astype(float)
 
 
 def _components(A):
@@ -533,8 +595,12 @@ def ml_matrix(params: MLParams, A) -> np.ndarray:
     from scalar derivatives; block-diagonal patterns split into components;
     otherwise a well-conditioned eigendecomposition; otherwise the power
     series: in float64 when it loses under six digits and its own error
-    estimate is below a tenth of the accuracy target, else in integers at
-    the precision that ||A|| calls for (_matrix_series_mp).
+    estimate is below a tenth of the accuracy target, else in integers
+    (_matrix_series_mp). That sum starts at 35 + 0.434 rho(A)^(1/alpha)
+    digits, rho the spectral radius, stops once its terms fall below 1e-20
+    of the sum, and runs again at a higher precision when the cancellation
+    it saw, sum_k max|t_k| / max|E|, needs one; above 350 digits it raises
+    EvaluationError.
     """
     if params.beta <= 0.0:
         raise ValidationError("beta must be positive for direct evaluation")

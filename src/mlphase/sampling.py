@@ -78,10 +78,22 @@ def ml_mixing_quantile(alpha: float, q):
     """
     alpha = _number(alpha, "alpha", "(0, 1)")
     q = _array(q, "quantile level", 1, "[0, 1)")
-    s = np.sin(alpha * np.pi)
-    ang = (1.0 - q) * np.pi * alpha
-    val = s * np.cos(ang) / np.sin(ang) - np.cos(alpha * np.pi)
+    val = _mixing_quantile(alpha, np.array(q))  # a copy: q stays unwritten
     return val if val.ndim else float(val)
+
+
+def _mixing_quantile(alpha, q):
+    """ml_mixing_quantile at the float levels q, overwriting q: with
+    ang = (1 - q) pi alpha, (sin(alpha pi) cos(ang)) / sin(ang) - cos(alpha pi),
+    one new array besides q."""
+    np.subtract(1.0, q, out=q)
+    q *= np.pi
+    q *= alpha
+    val = np.cos(q)
+    val *= np.sin(alpha * np.pi)
+    val /= np.sin(q, out=q)
+    val -= np.cos(alpha * np.pi)
+    return val
 
 
 def sample_ml_scalar(alpha: float, delta: float, rng: RandomStream, size=None):
@@ -105,8 +117,12 @@ def _ml_draw(g, alpha, delta, n):
     z = g.standard_exponential(n)
     if alpha == 1.0:
         return delta * z
-    rmix = ml_mixing_quantile(alpha, g.random(n))
-    return delta * z * rmix ** (1.0 / alpha)
+    # in place, in the order (delta z) R^(1/alpha)
+    rmix = _mixing_quantile(alpha, g.random(n))
+    rmix **= 1.0 / alpha
+    z *= delta
+    z *= rmix
+    return z
 
 
 def sample_mml(d: MMLDist, rng: RandomStream, size=None):

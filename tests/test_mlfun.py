@@ -285,6 +285,68 @@ def test_asymptotic_blocks_match_term_loop(alpha, k):
             assert np.array_equal(err, ref_err)
 
 
+def _series_term_loop(alpha, beta, z, k, tol, jmax=700):
+    """(values, ok) of the differentiated power series, one term at a time:
+    the reference for the term table of _series_vec."""
+    out = np.zeros_like(z)
+    absum = np.zeros(z.shape, dtype=float)
+    zp = np.ones_like(z)
+    done = np.zeros(z.shape, dtype=bool)
+    coef = float(math.factorial(k))
+    j = 0
+    while j < jmax:
+        term = (coef * rgamma(alpha * (j + k) + beta)) * zp
+        out += term
+        absum += np.abs(term)
+        small = np.abs(term) < 1e-17 * (np.abs(out) + 1e-300)
+        done |= small & (j > 2)
+        if done.all() and j > 4:
+            break
+        j += 1
+        coef *= (j + k) / j
+        zp = zp * z
+    amp = absum / (np.abs(out) + 1e-300)
+    return out, done & (amp * 2.3e-16 < 0.1 * tol)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 1.3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 8])
+def test_series_table_matches_term_loop(alpha, k):
+    # the term table must give the loop's bits, values and ok masks, on the
+    # closed unit disc: z = 0, |z| = 1 and points in between
+    from mlphase.mlfun import _series_vec
+
+    rng = np.random.default_rng(int(1000 * alpha) + k)
+    real = np.concatenate((np.linspace(-1.0, 1.0, 21),
+                           rng.uniform(-1.0, 1.0, 300)))
+    ring = np.exp(1j * np.linspace(-np.pi, np.pi, 13))
+    disc = np.sqrt(rng.uniform(0.0, 1.0, 300)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, 300))
+    args = [real, np.concatenate(([0.0], ring, disc)), np.array([0.0]),
+            np.array([-1.0]), np.array([1j])]
+    for beta in (1.0, alpha, 0.5, 2.0):
+        for z in args:
+            vals, ok = _series_vec(alpha, beta, z, k, 1e-12)
+            ref_vals, ref_ok = _series_term_loop(alpha, beta, z, k, 1e-12)
+            assert vals.dtype == z.dtype
+            assert vals.tobytes() == ref_vals.tobytes()
+            assert np.array_equal(ok, ref_ok)
+
+
+def test_offpole_nodes_cached_read_only():
+    # one node set per strip half-width, not per derivative order, shared
+    # by every caller and so not writable
+    from mlphase.mlfun import _offpole_nodes
+
+    s, w = _offpole_nodes(0.9, 0.9, 1e-12, 2, True)
+    assert all(a is b for a, b in zip(_offpole_nodes(0.9, 0.9, 1e-12, 3, True),
+                                      (s, w)))
+    assert _offpole_nodes(0.9, 0.9, 1e-12, 4, True)[0].size > s.size
+    for a in (s, w, *_offpole_nodes(0.9, 0.9, 1e-12, 2, False)):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # matrix argument
 
@@ -500,6 +562,39 @@ def test_matrix_extended_precision_dense(seed):
     out = _matrix_series_mp(alpha, beta, A, 1e-12)
     ref = ml_matrix_series(alpha, beta, A, 40 + int(theta ** (1.0 / alpha)))
     assert np.max(np.abs(out - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+def _entrywise_cases():
+    cases = [("defective", x, beta) for x in (6.7, 15.0, 40.0, 100.0, 200.0)
+             for beta in (0.7, 1.0, 30.0)]
+    return cases + [("dense", seed, None) for seed in range(6)]
+
+
+@pytest.mark.parametrize("kind,arg,beta", _entrywise_cases())
+def test_matrix_extended_precision_entrywise(kind, arg, beta):
+    # every entry of at least 1e-8 max|E| within 1e-13 relative of mpmath
+    # matrices at ample precision, not only within a share of max|E|: the
+    # defective T at x from 6.7 to 200 (beta = alpha, 1, 30) and the dense
+    # matrices of test_matrix_extended_precision_dense
+    from mlphase.mlfun import _matrix_series_mp
+    from oracles import ml_matrix_series
+
+    if kind == "defective":
+        alpha, A = 0.7, _DEFECTIVE * arg ** 0.7
+        theta = np.linalg.norm(A, 1)
+        dps = 40 + int(0.434 * theta ** (1.0 / alpha))
+    else:
+        rng = np.random.default_rng(arg)
+        p, alpha = 1 + arg % 5, rng.uniform(0.4, 1.0)
+        beta = rng.uniform(0.3, 1.6)
+        A = rng.uniform(-1.0, 1.0, (p, p))
+        theta = rng.uniform(5.0, 20.0) ** alpha
+        A *= theta / np.linalg.norm(A, 1)
+        dps = 40 + int(theta ** (1.0 / alpha))
+    out = _matrix_series_mp(alpha, beta, A, 1e-12)
+    ref = ml_matrix_series(alpha, beta, A, dps)
+    big = np.abs(ref) >= 1e-8 * np.abs(ref).max()
+    assert np.all(np.abs(out - ref)[big] <= 1e-13 * np.abs(ref)[big])
 
 
 def test_matrix_extended_precision_refuses_large_norm():

@@ -112,6 +112,32 @@ def test_mixing_inverse_identity(alpha):
         assert abs(ml_mixing_quantile(alpha, q) - x) < 1e-10 * max(1.0, x)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 0.999])
+def test_ml_draw_bits_match_expression(alpha):
+    # the in-place draw keeps the expression's operation order, with a
+    # scalar scale and with one scale per draw
+    from mlphase.sampling import _ml_draw
+
+    for n, delta in ((0, 1.0), (1, 2.5), (40_001, 1.0),
+                     (1000, np.linspace(0.5, 2.0, 1000))):
+        got = _ml_draw(RandomStream(n).generator, alpha, delta, n)
+        g = RandomStream(n).generator
+        z, q = g.standard_exponential(n), g.random(n)
+        ang = (1.0 - q) * np.pi * alpha
+        r = (np.sin(alpha * np.pi) * np.cos(ang) / np.sin(ang)
+             - np.cos(alpha * np.pi))
+        ref = delta * z * r ** (1.0 / alpha)
+        assert got.tobytes() == ref.tobytes()
+        assert ml_mixing_quantile(alpha, q).tobytes() == r.tobytes()
+
+
+def test_mixing_quantile_leaves_levels_unwritten():
+    q = np.linspace(0.0, 0.99, 12)
+    keep = q.copy()
+    ml_mixing_quantile(0.7, q)
+    assert np.array_equal(q, keep)
+
+
 @settings(max_examples=120, deadline=None)
 @given(alpha=st.floats(0.05, 0.99), q=st.floats(0.001, 0.999))
 def test_mixing_quantile_property(alpha, q):
