@@ -16,6 +16,12 @@ trees. With --trace-seed each workload also gets one traced run a side,
 whose exit code, check result and per-layer metrics are recorded. Nothing is
 written under bench/; bench/run.py keeps its own outputs in .bench_runs/ of
 the checkout it runs in.
+
+The script writes host, command, parent, change, rule, workloads, summary
+and traced_runs. A committed BENCH_*.json may carry further sections (what
+the change is and claims, one-off timings, notes); those are written by
+hand after the script has run, and the script's own sections are left as
+it wrote them.
 """
 from __future__ import annotations
 
@@ -164,16 +170,12 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace-seed", type=int)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--topic", default="")
-    ap.add_argument("--claim", default="")
     args = ap.parse_args(argv)
 
     with open("BENCHMARK.json") as fh:
         spec = json.load(fh)
     parent_sha = _git("rev-parse", args.parent + "^{commit}")
     doc = {
-        "topic": args.topic,
-        "claim": args.claim,
         "host": _host(),
         "command": (f"python3 bench/run.py --workload W --seed N --seconds "
                     f"{args.seconds:g} --trace 0 (parent in a git-archive "

@@ -100,54 +100,41 @@ def _series_vec(alpha, beta, z, k, tol, jmax=700):
     The values have the dtype of z, real or complex.
 
     Point i is done at its first term t_j = c_j z_i^j past j = 2 below
-    1e-17 of its partial sum, and every sum stops at the first j > 4 at
-    which all points are done (or at jmax terms). The terms sit in one
-    table, a row per j, with as many rows as the bound |c_j| max|z|^j takes
-    to fall 20 decades below its peak; the table doubles, up to jmax rows,
-    while some point is not done. The powers are repeated multiplies and
-    the sums run row by row, so every value rounds as in a term-by-term
-    loop.
+    1e-17 of its partial sum, and the sum stops at the first j > 4 at which
+    all points are done (or at jmax terms). The coefficients come from
+    _series_coeffs, 32 at first and twice as many whenever the sum runs
+    past them; the terms are summed one at a time in buffers of the size
+    of z.
     """
     z = np.asarray(z)
-    m = np.abs(z).max(initial=0.0)
-    n = 32
-    while True:
-        c = _series_coeffs(alpha, beta, k, n)
-        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            bound = np.abs(c) * m ** np.arange(n)
-            past = bound[6:] <= 1e-20 * np.maximum.accumulate(bound)[6:]
-        if past.any() or n == jmax:
-            break
-        n = min(2 * n, jmax)
-    rows = 7 + int(past.argmax()) if past.any() else n
-    while True:
-        t = np.empty((rows, z.size), dtype=z.dtype)
-        t[0] = 1.0
-        for j in range(1, rows):
-            np.multiply(t[j - 1], z, out=t[j])
-        t *= c[:rows, None]
-        s = t.copy()
-        for j in range(1, rows):
-            s[j] += s[j - 1]
-        at = np.abs(t)
-        lim = np.abs(s[3:])
-        lim += 1e-300
-        lim *= 1e-17
-        small = at[3:] < lim
-        done = small.any(axis=0)
-        if done.all() or rows == jmax:
-            break
-        rows = min(2 * rows, jmax)
-        if rows > c.size:
-            c = _series_coeffs(alpha, beta, k, rows)
-    last = rows - 1
-    if done.all():
-        last = max(5, 3 + int(small.argmax(axis=0).max(initial=0)))
-    for j in range(1, last + 1):  # running sums of |t_j|, row by row too
-        at[j] += at[j - 1]
-    amp = at[last] / (np.abs(s[last]) + 1e-300)
+    out = np.zeros_like(z)
+    zp = np.ones_like(z)
+    term = np.empty_like(z)
+    at = np.empty(z.shape)
+    absum = np.zeros(z.shape)
+    lim = np.empty(z.shape)
+    small = np.empty(z.shape, dtype=bool)
+    done = np.zeros(z.shape, dtype=bool)
+    c = _series_coeffs(alpha, beta, k, min(32, jmax))
+    for j in range(jmax):
+        if j == c.size:
+            c = _series_coeffs(alpha, beta, k, min(2 * j, jmax))
+        np.multiply(c[j], zp, out=term)
+        out += term
+        np.abs(term, out=at)
+        absum += at
+        if j > 2:
+            np.abs(out, out=lim)
+            lim += 1e-300
+            lim *= 1e-17
+            np.less(at, lim, out=small)
+            done |= small
+            if j > 4 and done.all():
+                break
+        np.multiply(zp, z, out=zp)
+    amp = absum / (np.abs(out) + 1e-300)
     ok = done & (amp * _EPS < 0.1 * tol)
-    return s[last], ok
+    return out, ok
 
 
 # kept for bench/tracer.py, which wraps this name

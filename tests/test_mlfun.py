@@ -287,7 +287,8 @@ def test_asymptotic_blocks_match_term_loop(alpha, k):
 
 def _series_term_loop(alpha, beta, z, k, tol, jmax=700):
     """(values, ok) of the differentiated power series, one term at a time:
-    the reference for the term table of _series_vec."""
+    the reference for _series_vec, which runs the same loop on precomputed
+    coefficients."""
     out = np.zeros_like(z)
     absum = np.zeros(z.shape, dtype=float)
     zp = np.ones_like(z)
@@ -311,8 +312,8 @@ def _series_term_loop(alpha, beta, z, k, tol, jmax=700):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 1.3])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 8])
-def test_series_table_matches_term_loop(alpha, k):
-    # the term table must give the loop's bits, values and ok masks, on the
+def test_series_matches_term_loop(alpha, k):
+    # _series_vec must give the loop's bits, values and ok masks, on the
     # closed unit disc: z = 0, |z| = 1 and points in between
     from mlphase.mlfun import _series_vec
 
@@ -331,6 +332,23 @@ def test_series_table_matches_term_loop(alpha, k):
             assert vals.dtype == z.dtype
             assert vals.tobytes() == ref_vals.tobytes()
             assert np.array_equal(ok, ref_ok)
+
+
+def test_series_memory_linear_in_points():
+    # the sum keeps a few buffers of the size of z, not one per term: about
+    # 70 terms at alpha = 0.3 would hold hundreds of MB for 1e5 points
+    import tracemalloc
+
+    from mlphase.mlfun import _series_vec
+
+    z = -np.linspace(0.0, 1.0, 100_000)
+    tracemalloc.start()
+    try:
+        _series_vec(0.3, 1.0, z, 0, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * z.nbytes
 
 
 def test_offpole_nodes_cached_read_only():
@@ -593,6 +611,45 @@ def test_matrix_extended_precision_entrywise(kind, arg, beta):
         dps = 40 + int(theta ** (1.0 / alpha))
     out = _matrix_series_mp(alpha, beta, A, 1e-12)
     ref = ml_matrix_series(alpha, beta, A, dps)
+    big = np.abs(ref) >= 1e-8 * np.abs(ref).max()
+    assert np.all(np.abs(out - ref)[big] <= 1e-13 * np.abs(ref)[big])
+
+
+def test_matrix_extended_precision_reruns_when_short(monkeypatch):
+    # a spectral radius read as zero starts the sum at 35 digits, short of
+    # the 49 that the defective T loses at x = 100; the sum sees the loss
+    # and runs again, at more digits each time, until they cover it
+    import mpmath
+
+    import mlphase.mlfun as mlfun
+    from oracles import ml_matrix_series
+
+    digits = []
+    workdps = mpmath.workdps
+
+    def spy(dps):
+        digits.append(dps)
+        return workdps(dps)
+
+    monkeypatch.setattr(mpmath, "workdps", spy)
+    monkeypatch.setattr(mlfun.np.linalg, "eigvals",
+                        lambda a: np.zeros(len(a)))
+    A = _DEFECTIVE * 100.0 ** 0.7
+    out = mlfun._matrix_series_mp(0.7, 1.0, A, 1e-12)
+    monkeypatch.undo()
+    assert digits[0] == 35 and len(digits) > 1
+    assert all(a + 10 < b for a, b in zip(digits, digits[1:]))
+    ref = ml_matrix_series(0.7, 1.0, A, 40 + int(0.434 * np.linalg.norm(
+        A, 1) ** (1.0 / 0.7)))
+    big = np.abs(ref) >= 1e-8 * np.abs(ref).max()
+    assert np.all(np.abs(out - ref)[big] <= 1e-13 * np.abs(ref)[big])
+
+
+def test_matrix_extended_precision_beyond_norm_bound():
+    # at x = 300 the 1-norm bound asks for more than 350 digits, but the
+    # series loses about 140: it is summed, entrywise to 1e-13
+    A, ref = _defective_case(0.7, 1.0, 300.0)
+    out = ml_matrix(MLParams(0.7, 1.0), A)
     big = np.abs(ref) >= 1e-8 * np.abs(ref).max()
     assert np.all(np.abs(out - ref)[big] <= 1e-13 * np.abs(ref)[big])
 
