@@ -38,6 +38,7 @@ from scipy.special import gamma as sc_gamma
 from .errors import ValidationError, _document, _json, _number
 from .mlfun import (
     MLParams,
+    _contour_sum,
     _eigenbasis,
     _ml_deriv_vec,
     _ml_vec,
@@ -167,7 +168,8 @@ def _score_block(alpha, p, u, nlogx, ds, tol):
 
     a = d log h_p / d alpha for h_p(u) = u^p E^{(p-1)}(-u) / (p-1)!, with
     u = lam x^{nu alpha}. Both come from one contour block over the folded
-    off-pole nodes s_j (weights w_j) of order p: h_p(u) = sum_j w_j q_j^p
+    off-pole nodes s_j (weights w_j) of order p, a _contour_sum at z = -u
+    _BLOCK_ROWS points at a time: h_p(u) = sum_j w_j q_j^p
     with q_j = u r_j, r_j = 1/(s_j^alpha + u), and
     dq/dalpha = q (1 - q) (nu log x - log s). From R = r^(p+1), one product
     gives
@@ -187,14 +189,7 @@ def _score_block(alpha, p, u, nlogx, ds, tol):
         s, ws = _offpole_nodes(alpha, alpha, tol, p, real=True)
         sa = s ** alpha
         W = np.column_stack((ws, ws * sa, ws * sa * np.log(s)))
-        sums = np.empty((u.size, 3))
-        for lo in range(0, u.size, _BLOCK_ROWS):
-            r = 1.0 / (sa + u[lo:lo + _BLOCK_ROWS, None])
-            R = r * r
-            for _ in range(p - 1):  # repeated products: complex ** is slower
-                R *= r
-            sums[lo:lo + _BLOCK_ROWS] = (R @ W).real
-        one, pw, dl = sums.T
+        one, pw, dl = _contour_sum(sa, W, -u, p, _BLOCK_ROWS).real.T
         ok = np.abs(fact * (pw + u * one) - ds) < _BLOCK_CHECK * ds
         dn = p * fact * one
         with np.errstate(divide="ignore", invalid="ignore"):

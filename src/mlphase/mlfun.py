@@ -6,12 +6,12 @@ The evaluator splits the complex plane into three regimes:
   tracking so a result is only accepted when float64 can support it;
 * an optimally truncated algebraic expansion in 1/z far from the origin,
   plus the exponential branch (1/alpha) z^{(1-beta)/alpha} exp(z^{1/alpha})
-  when |arg z| < alpha*pi. The terms are summed as a table, a block of 32
-  for every point and then blocks of twice the length for the points not
-  yet truncated, and each point is cut at its first converged term or at
-  its smallest term before three consecutive growing ones; the expansion
-  self-reports its attainable error and is only accepted when that beats
-  the accuracy target;
+  when |arg z| < alpha*pi. The terms are summed as a table, 4096 points
+  at a time: a block of 32 for every point and then blocks of twice the
+  length for the points not yet truncated, and each point is cut at its
+  first converged term or at its smallest term before three consecutive
+  growing ones; the expansion self-reports its attainable error and is only
+  accepted when that beats the accuracy target;
 * a parabolic Bromwich contour in between. The integrand
   exp(s) s^{alpha-beta} / (s^alpha - z) is sampled by the trapezoid rule on
   s(u) = mu (1+iu)^2; the single principal-sheet pole s* = z^{1/alpha}
@@ -20,7 +20,9 @@ The evaluator splits the complex plane into three regimes:
   parameter through s, and its residue is added explicitly. That choice
   places the pole image one full unit below the real axis in the u plane,
   so the quadrature converges at the same geometric rate as the pole-free
-  case.
+  case. Every off-pole contour sum, the fit's score block included, is
+  one kernel, _contour_sum, over slices of 4096 points (the score
+  block's: 256).
 
 Derivatives use the term-wise differentiated series near the origin, a
 differentiated algebraic expansion or a powered-denominator contour off the
@@ -51,6 +53,8 @@ MAX_DIM = 64
 ACCURACY_MIN = 1e-14
 ACCURACY_MAX = 1e-6
 _EPS = 2.3e-16
+# points per slice of the contour product and of the asymptotic table
+_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -212,23 +216,26 @@ def _asymp_vec(alpha, beta, z, k, tol, nmax=350):
     truncation (three consecutive growing terms), a block twice as long,
     up to nmax terms. Terms whose reciprocal-gamma factor sits at a pole dip
     are added to the sum but excluded from the truncation bookkeeping.
-    The values have the dtype of z, real or complex.
+    Each point has its own column of the table, which takes _SLICE points
+    at a time. The values have the dtype of z, real or complex.
     """
     z = np.asarray(z)
     zin = 1.0 / z
     snap = np.zeros_like(z)
     err = np.full(z.shape, np.inf)
-    rows = np.arange(z.size)
-    nterms = 32
-    while rows.size:
-        nterms = min(nterms, nmax)
-        s, e, closed = _asymp_block(alpha, beta, zin[rows], k, tol, nterms)
-        if nterms == nmax:
-            closed[:] = True
-        snap[rows[closed]] = s[closed]
-        err[rows[closed]] = e[closed]
-        rows = rows[~closed]
-        nterms *= 2
+    for lo in range(0, z.size, _SLICE):
+        rows = np.arange(lo, min(lo + _SLICE, z.size))
+        nterms = 32
+        while rows.size:
+            nterms = min(nterms, nmax)
+            s, e, closed = _asymp_block(alpha, beta, zin[rows], k, tol,
+                                        nterms)
+            if nterms == nmax:
+                closed[:] = True
+            snap[rows[closed]] = s[closed]
+            err[rows[closed]] = e[closed]
+            rows = rows[~closed]
+            nterms *= 2
     vals = snap
     theta = np.abs(np.angle(z))
     if k == 0:
@@ -306,21 +313,32 @@ def _offpole_set(alpha, beta, tol, d, real):
     return s, w
 
 
-def _contour_offpole_vec(alpha, beta, z, k, tol):
-    """Vectorized contour for arguments with no principal-sheet pole.
+def _contour_sum(sa, W, z, k, rows=_SLICE):
+    """sum_j W_j (sa_j - z_i)^-(k+1) at every z_i, sa_j = s_j^alpha at the
+    contour nodes s_j, W one weight column or several. Each slice of `rows`
+    points is one reciprocal r, k repeated products R = r^(k+1) and one
+    matrix product R @ W, so its temporaries stay a bounded size. The sums
+    are joined after the last slice: an output allocated before the
+    temporaries leaves them at the top of the heap, and glibc then returns
+    and refaults their pages on every call."""
+    parts = []
+    for lo in range(0, max(z.size, 1), rows):  # an empty z: one empty part
+        r = 1.0 / (sa - z[lo:lo + rows, None])
+        R = r * r if k else r
+        for _ in range(k - 1):  # repeated products: complex ** is slower
+            R *= r
+        parts.append(R @ W)
+    return np.concatenate(parts)
 
-    The sum is one reciprocal r = 1/(s^alpha - z) over the nodes and one
-    matrix-vector product (r^(k+1)) @ w, over the folded nodes of
-    _offpole_nodes for a real z, whose real part is returned.
-    """
+
+def _contour_offpole_vec(alpha, beta, z, k, tol):
+    """Vectorized contour for arguments with no principal-sheet pole: the
+    _contour_sum of the off-pole nodes, folded for a real z, whose real
+    part is returned."""
     z = np.asarray(z)
     real = not np.iscomplexobj(z)
     s, w = _offpole_nodes(alpha, beta, tol, k, real)
-    r = 1.0 / (s[None, :] ** alpha - z[:, None])
-    R = r.copy()
-    for _ in range(k):  # repeated products: complex ** is slower
-        R *= r
-    val = R @ w
+    val = _contour_sum(s ** alpha, w, z, k)
     return _factorial(k) * (val.real if real else val)
 
 
@@ -486,14 +504,26 @@ def _eigenbasis(A):
     return w, V, np.linalg.inv(V)
 
 
-def _matrix_series_f64(alpha, beta, A, tol, kmax=2000):
+def _real_part(M):
+    """The real part of a function M of a real matrix; raises
+    EvaluationError when M's imaginary part exceeds 1e-10 of max|M| + 1."""
+    if np.abs(M.imag).max() > 1e-10 * (np.abs(M).max() + 1.0):
+        raise EvaluationError("imaginary residue exceeds 1e-10")
+    return M.real
+
+
+def _matrix_series_f64(alpha, beta, A):
+    """(E_{alpha,beta}(A), error estimate) by the float64 power series."""
     p = A.shape[0]
-    out = rgamma(beta) * np.eye(p)
+    c = _series_coeffs(alpha, beta, 0, 32)
+    out = c[0] * np.eye(p)
     P = np.eye(p)
-    norm_sum = abs(rgamma(beta)) * 1.0
-    for k in range(1, kmax):
+    norm_sum = abs(c[0]) * 1.0
+    for k in range(1, 2000):
+        if k == c.size:
+            c = _series_coeffs(alpha, beta, 0, 2 * k)
         P = P @ A
-        term = rgamma(alpha * k + beta) * P
+        term = c[k] * P
         out += term
         tn = np.abs(term).max()
         norm_sum += tn
@@ -503,7 +533,7 @@ def _matrix_series_f64(alpha, beta, A, tol, kmax=2000):
     raise EvaluationError("matrix series did not converge")
 
 
-def _matrix_series_mp(alpha, beta, A, tol):
+def _matrix_series_mp(alpha, beta, A):
     """E_{alpha,beta}(A) by its power series, summed exactly in integers at
     the precision its cancellation calls for, found by a guess and a check.
 
@@ -517,9 +547,9 @@ def _matrix_series_mp(alpha, beta, A, tol):
     The terms t_k = c_k A^k, c_k = 1/Gamma(alpha k + beta) from mpmath, are
     Python integers in the unit 2^-(prec + 64) c_0 (c_0 rounded up to a power
     of two) and t_k = (c_k / c_{k-1}) (t_{k-1} A): no power of A outgrows its
-    term. A's entries, read as the decimals of their repr, and the ratios are
-    integers in the unit 2^-(prec + 64). Entries round by exact integer
-    division.
+    term. A's entries, read exactly from their binary values as alpha and
+    beta are, and the ratios are integers in the unit 2^-(prec + 64).
+    Entries round by exact integer division.
     """
     import mpmath as mp
     p = A.shape[0]
@@ -536,8 +566,8 @@ def _matrix_series_mp(alpha, beta, A, tol):
             def fixed(v, bits=G):
                 return int(mp.ldexp(v, bits))
 
-            a, b = mp.mpf(repr(alpha)), mp.mpf(repr(beta))
-            M = np.array([[fixed(mp.mpf(repr(float(v)))) for v in row]
+            a, b = mp.mpf(float(alpha)), mp.mpf(float(beta))
+            M = np.array([[fixed(mp.mpf(float(v))) for v in row]
                           for row in A], dtype=object)
             c = mp.rgamma(b)
             F = G - int(mp.frexp(c)[1])
@@ -634,18 +664,14 @@ def ml_matrix(params: MLParams, A) -> np.ndarray:
     eb = _eigenbasis(A)
     if eb is not None:
         w, V, Vinv = eb
-        E = V @ np.diag(_ml_vec(alpha, beta, w, 0, tol)) @ Vinv
-        scale = np.abs(E).max() + 1.0
-        if np.abs(E.imag).max() > 1e-10 * scale:
-            raise EvaluationError(
-                "imaginary residue in matrix evaluation exceeds 1e-10")
-        return E.real
+        return _real_part(V @ np.diag(_ml_vec(alpha, beta, w, 0, tol))
+                          @ Vinv)
 
     # series fallback with adaptive precision
     theta = float(np.linalg.norm(A, 1))
     digits_lost = theta ** (1.0 / alpha) * 0.434
     if digits_lost < 6.0:
-        out, errest = _matrix_series_f64(alpha, beta, A, tol)
+        out, errest = _matrix_series_f64(alpha, beta, A)
         if errest < 0.1 * tol:
             return out
-    return _matrix_series_mp(alpha, beta, A, tol)
+    return _matrix_series_mp(alpha, beta, A)

@@ -28,7 +28,12 @@ from .errors import (
     _json,
     _number,
 )
-from .mlfun import _components, _detect_uniform_bidiagonal, _eigenbasis
+from .mlfun import (
+    _components,
+    _detect_uniform_bidiagonal,
+    _eigenbasis,
+    _real_part,
+)
 
 #: structure tags
 ERLANG = "erlang"
@@ -312,33 +317,28 @@ def _check_arg(x, interval=_ANY):
     return np.atleast_1d(x), x.ndim == 0
 
 
-def ph_pdf(gen: PHGenerator, x) -> np.ndarray:
-    """Density pi expm(Tx) t, vectorized over x."""
+def _expm_form(gen: PHGenerator, xs, v, live):
+    """pi expm(T x) v at the entries x of xs where live holds, 0 elsewhere."""
     from scipy.linalg import expm
 
+    out = np.zeros_like(xs)
+    for i in np.nonzero(live)[0]:
+        out[i] = float(gen.pi @ expm(gen.T * xs[i]) @ v)
+    return out
+
+
+def ph_pdf(gen: PHGenerator, x) -> np.ndarray:
+    """Density pi expm(Tx) t, vectorized over x."""
     xs, scalar = _check_arg(x)
-    t = gen.exit_vector
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        if xi < 0:
-            out[i] = 0.0
-        else:
-            out[i] = float(gen.pi @ expm(gen.T * xi) @ t)
+    out = _expm_form(gen, xs, gen.exit_vector, xs >= 0)
     return float(out[0]) if scalar else out
 
 
 def ph_cdf(gen: PHGenerator, x) -> np.ndarray:
     """Distribution function 1 - pi expm(Tx) 1, vectorized over x."""
-    from scipy.linalg import expm
-
     xs, scalar = _check_arg(x)
-    ones = np.ones(gen.dim)
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        if xi <= 0:
-            out[i] = 0.0
-        else:
-            out[i] = 1.0 - float(gen.pi @ expm(gen.T * xi) @ ones)
+    pos = xs > 0
+    out = np.where(pos, 1.0 - _expm_form(gen, xs, np.ones(gen.dim), pos), 0.0)
     return float(out[0]) if scalar else out
 
 
@@ -366,17 +366,10 @@ def _neg_T_power(gen: PHGenerator, a: float) -> np.ndarray:
         # -T has eigenvalues in the right half-plane, so the principal
         # power is well defined
         w, V, Vinv = eb
-        P = V @ np.diag(w.astype(complex) ** (-a)) @ Vinv
-        if np.abs(P.imag).max() > 1e-10 * (np.abs(P).max() + 1.0):
-            raise EvaluationError("matrix power has an imaginary residue")
-        return P.real
+        return _real_part(V @ np.diag(w.astype(complex) ** (-a)) @ Vinv)
     from scipy.linalg import fractional_matrix_power
 
-    P = fractional_matrix_power(negT, -a)
-    if np.iscomplexobj(P):
-        if np.abs(P.imag).max() > 1e-10 * (np.abs(P).max() + 1.0):
-            raise EvaluationError("matrix power has an imaginary residue")
-        P = P.real
+    P = _real_part(fractional_matrix_power(negT, -a))
     if not np.all(np.isfinite(P)):
         raise EvaluationError("matrix power evaluation failed")
     return P
@@ -412,8 +405,9 @@ def ph_sample(gen: PHGenerator, rng, size=None):
     else:
         w = np.array(weights)
         comp = g.choice(len(w), size=n, p=w / w.sum())
-        out = g.gamma(np.array(shapes, dtype=float)[comp],
-                      1.0 / np.array(rates)[comp])
+        # gamma(shape, scale) draws scale * standard_gamma(shape)
+        out = g.standard_gamma(np.array(shapes, dtype=float)[comp])
+        out *= (1.0 / np.array(rates))[comp]
     return float(out[0]) if scalar else out
 
 

@@ -334,21 +334,60 @@ def test_series_matches_term_loop(alpha, k):
             assert np.array_equal(ok, ref_ok)
 
 
+def _peak_bytes(fn):
+    """The tracemalloc peak of the call fn()."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_series_memory_linear_in_points():
     # the sum keeps a few buffers of the size of z, not one per term: about
     # 70 terms at alpha = 0.3 would hold hundreds of MB for 1e5 points
-    import tracemalloc
-
     from mlphase.mlfun import _series_vec
 
     z = -np.linspace(0.0, 1.0, 100_000)
-    tracemalloc.start()
-    try:
-        _series_vec(0.3, 1.0, z, 0, 1e-12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(lambda: _series_vec(0.3, 1.0, z, 0, 1e-12))
     assert peak < 12 * z.nbytes
+
+
+@pytest.mark.parametrize("k", [0, 8])
+def test_contour_memory_bounded_in_points(k):
+    # the contour product goes 4096 points at a time: taken whole, its two
+    # (points, nodes) temporaries would hold 143 to 279 arrays of n at 1e5
+    # points
+    from mlphase.mlfun import _contour_offpole_vec
+
+    z = -np.geomspace(1.02, 50.0, 100_000)
+    peak = _peak_bytes(lambda: _contour_offpole_vec(0.9, 0.9, z, k, 1e-12))
+    assert peak < 32 * z.nbytes
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_asymptotic_memory_bounded_in_points(k):
+    # the expansion's table goes 4096 points at a time: taken whole, its
+    # first block of 32 terms would hold 224 arrays of n at 1e5 points
+    z = -np.geomspace(60.0, 1e6, 100_000)
+    peak = _peak_bytes(lambda: _asymp_vec(0.9, 1.0, z, k, 1e-12))
+    assert peak < 32 * z.nbytes
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_contour_sum_slices_are_independent(k):
+    # each point's sum is its own row of the product, whatever slice of
+    # points it lands in
+    from mlphase.mlfun import _contour_sum, _offpole_nodes
+
+    s, w = _offpole_nodes(0.7, 1.0, 1e-12, k, True)
+    z = -np.geomspace(1.02, 30.0, 301)
+    whole = _contour_sum(s ** 0.7, w, z, k)
+    assert np.allclose(_contour_sum(s ** 0.7, w, z, k, rows=37), whole,
+                       rtol=1e-14, atol=0.0)
 
 
 def test_offpole_nodes_cached_read_only():
@@ -568,7 +607,9 @@ def test_matrix_extended_precision_small_entries(monkeypatch, beta):
 @pytest.mark.parametrize("seed", range(6))
 def test_matrix_extended_precision_dense(seed):
     # dense matrices of dimension 1 to 5, 2 to 9 digits lost, against
-    # mpmath matrices at ample precision
+    # mpmath matrices at ample precision: both read A, alpha and beta
+    # exactly and round a sum good to far more digits than float64 holds,
+    # so every entry is the same float64, to one unit in the last place
     from mlphase.mlfun import _matrix_series_mp
     from oracles import ml_matrix_series
 
@@ -577,9 +618,9 @@ def test_matrix_extended_precision_dense(seed):
     A = rng.uniform(-1.0, 1.0, (p, p))
     theta = rng.uniform(5.0, 20.0) ** alpha
     A *= theta / np.linalg.norm(A, 1)
-    out = _matrix_series_mp(alpha, beta, A, 1e-12)
+    out = _matrix_series_mp(alpha, beta, A)
     ref = ml_matrix_series(alpha, beta, A, 40 + int(theta ** (1.0 / alpha)))
-    assert np.max(np.abs(out - ref)) < 1e-14 * np.max(np.abs(ref))
+    assert np.all(np.abs(out - ref) <= np.spacing(np.abs(ref)))
 
 
 def _entrywise_cases():
@@ -590,10 +631,10 @@ def _entrywise_cases():
 
 @pytest.mark.parametrize("kind,arg,beta", _entrywise_cases())
 def test_matrix_extended_precision_entrywise(kind, arg, beta):
-    # every entry of at least 1e-8 max|E| within 1e-13 relative of mpmath
-    # matrices at ample precision, not only within a share of max|E|: the
-    # defective T at x from 6.7 to 200 (beta = alpha, 1, 30) and the dense
-    # matrices of test_matrix_extended_precision_dense
+    # every entry of at least 1e-8 max|E| within one unit in the last place
+    # of mpmath matrices at ample precision, not only within a share of
+    # max|E|: the defective T at x from 6.7 to 200 (beta = alpha, 1, 30) and
+    # the dense matrices of test_matrix_extended_precision_dense
     from mlphase.mlfun import _matrix_series_mp
     from oracles import ml_matrix_series
 
@@ -609,10 +650,10 @@ def test_matrix_extended_precision_entrywise(kind, arg, beta):
         theta = rng.uniform(5.0, 20.0) ** alpha
         A *= theta / np.linalg.norm(A, 1)
         dps = 40 + int(theta ** (1.0 / alpha))
-    out = _matrix_series_mp(alpha, beta, A, 1e-12)
+    out = _matrix_series_mp(alpha, beta, A)
     ref = ml_matrix_series(alpha, beta, A, dps)
     big = np.abs(ref) >= 1e-8 * np.abs(ref).max()
-    assert np.all(np.abs(out - ref)[big] <= 1e-13 * np.abs(ref)[big])
+    assert np.all(np.abs(out - ref)[big] <= np.spacing(np.abs(ref))[big])
 
 
 def test_matrix_extended_precision_reruns_when_short(monkeypatch):
@@ -635,7 +676,7 @@ def test_matrix_extended_precision_reruns_when_short(monkeypatch):
     monkeypatch.setattr(mlfun.np.linalg, "eigvals",
                         lambda a: np.zeros(len(a)))
     A = _DEFECTIVE * 100.0 ** 0.7
-    out = mlfun._matrix_series_mp(0.7, 1.0, A, 1e-12)
+    out = mlfun._matrix_series_mp(0.7, 1.0, A)
     monkeypatch.undo()
     assert digits[0] == 35 and len(digits) > 1
     assert all(a + 10 < b for a, b in zip(digits, digits[1:]))
