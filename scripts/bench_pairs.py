@@ -5,8 +5,11 @@ working tree, and write the result as a BENCH_*.json file.
         --seeds 19001-19010 --out BENCH_topic.json [--trace-seed 19101]
 
 Run from the root of the repository. The parent side is a `git archive`
-checkout of --parent in a temporary directory; the change side is the
-working tree as it stands, uncommitted edits included. Pair i runs the
+checkout of --parent in a temporary directory; the change side is a fresh
+copy, in another temporary directory, of the working tree as it stands:
+its tracked and untracked files, uncommitted edits included, ignored files
+left out. Both sides thus run from new directories, since the working tree
+itself has read slower than a fresh copy of the same code. Pair i runs the
 parent first when i is even and the change first when i is odd. Each run is
 `bench/run.py --workload W --seed S --seconds T --trace 0` in its own
 process, with the seeds given; the file records every run, the median and
@@ -15,7 +18,7 @@ change won, the failed operations, the checks, both commits and the src
 trees. With --trace-seed each workload also gets one traced run a side,
 whose exit code, check result and per-layer metrics are recorded. Nothing is
 written under bench/; bench/run.py keeps its own outputs in .bench_runs/ of
-the checkout it runs in.
+the copy it runs in.
 
 The script writes host, command, parent, change, rule, workloads, summary
 and traced_runs. A committed BENCH_*.json may carry further sections (what
@@ -29,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,6 +57,18 @@ def _worktree_src_tree():
         _git("read-tree", "HEAD", env=env)
         _git("add", "-A", "--", "src", env=env)
         return _git("rev-parse", _git("write-tree", env=env) + ":src")
+
+
+def _copy_worktree(dest):
+    """Copy the working tree's tracked and untracked files as they stand,
+    ignored files left out, to dest."""
+    names = _git("ls-files", "-z", "--cached", "--others",
+                 "--exclude-standard").split("\0")
+    for name in filter(None, names):
+        if os.path.isfile(name):  # a deleted tracked file is still listed
+            target = os.path.join(dest, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(name, target)
 
 
 def _seeds(text):
@@ -179,7 +195,7 @@ def main(argv=None):
         "host": _host(),
         "command": (f"python3 bench/run.py --workload W --seed N --seconds "
                     f"{args.seconds:g} --trace 0 (parent in a git-archive "
-                    "checkout, change in the working tree; "
+                    "checkout, change in a fresh copy of the working tree; "
                     "scripts/bench_pairs.py)"),
         "parent": {"git_sha": parent_sha,
                    "src_tree": _git("rev-parse", parent_sha + ":src")},
@@ -198,7 +214,9 @@ def main(argv=None):
         checkout = os.path.join(tmp, "parent")
         with tarfile.open(archive) as tar:
             tar.extractall(checkout, filter="data")
-        sides = {"parent": checkout, "change": os.getcwd()}
+        change = os.path.join(tmp, "change")
+        _copy_worktree(change)
+        sides = {"parent": checkout, "change": change}
         for w in args.workload:
             doc["workloads"][w], summary = _pairs(
                 sides, w, args.seeds, args.seconds, spec)

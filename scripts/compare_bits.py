@@ -16,6 +16,10 @@ to an .npz file. The battery covers:
 * `mml_logpdf`, `mml_logsf` and `_logpdf_partials` of the six standard
   models and their untagged generators, at nu = 1 and 1.5, on
   geomspace(1e-6, 1e6, 61);
+* `mml_logsf` of Erlang(8) and Erlang(12) laws at alpha = 0.9, one on each
+  side of the Erlang survival's choice of path, at alpha = 1 at x = 745
+  and 800, where e^-x underflows, and `mml_sf` in the far tail, at x = 1e100,
+  1e150 and 1e250;
 * `_score_block` at orders 1, 2, 3, 5 and 9;
 * `ml_matrix` on each of its branches, and the extended-precision series
   on dense matrices;
@@ -121,6 +125,7 @@ def _scalar_sweeps(put):
 def _laws(put):
     from mlphase import distributions
     from mlphase.distributions import MMLDist, PMMLDist
+    from mlphase.phasetype import make_erlang
 
     x = np.geomspace(1e-6, 1e6, 61)
     for name, d in _models():
@@ -133,6 +138,13 @@ def _laws(put):
                 put(f"{key}/logsf", lambda: distributions.mml_logsf(dd, x))
                 put(f"{key}/partials",
                     lambda: distributions._logpdf_partials(dd, x))
+    for p in (8, 12):
+        law = MMLDist(0.9, make_erlang(p, 1.5))
+        put(f"law/erlang{p}_a09/logsf", lambda: distributions.mml_logsf(law, x))
+    put("law/erlang2_a1/logsf_tail", lambda: distributions.mml_logsf(
+        MMLDist(1.0, make_erlang(2, 1.0)), np.array([745.0, 800.0])))
+    put("law/erlang4_a07/sf_far", lambda: distributions.mml_sf(
+        MMLDist(0.7, make_erlang(4, 2.0)), np.array([1e100, 1e150, 1e250])))
     u = np.geomspace(1e-4, 1e4, 701)
     nlogx = 1.3 * np.log(np.geomspace(1e-3, 1e3, u.size))
     for alpha in (0.6, 0.9):

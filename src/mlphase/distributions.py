@@ -13,8 +13,10 @@ connected blocks of T, never from the structure tag:
   go through one mixture form, each Erlang(p, lam) component a single
   derivative term
   lam^p x^{alpha p - 1}/(p-1)! E^{(p-1)}_{alpha,alpha}(-lam x^alpha),
-  survival sum_{s<p} (lam x^alpha)^s/s! E^{(s)}_{alpha,1}(-lam x^alpha);
-  every term is positive, so log forms are exact.
+  survival sum_{s<p} (lam x^alpha)^s/s! E^{(s)}_{alpha,1}(-lam x^alpha),
+  for p <= 8 and alpha <= 0.9995 one contour sum over all its orders
+  (_erlang_logsf names the paths); every term is positive, so log forms
+  are exact.
 * every other block goes through one general form pi E_{alpha,beta}(T w) v,
   batched over the grid through the eigenbasis of the block; only a block
   without a usable eigenbasis calls the matrix-function evaluator per
@@ -43,6 +45,7 @@ from .mlfun import (
     _ml_deriv_vec,
     _ml_vec,
     _offpole_nodes,
+    _survival_sum,
     ml_matrix,
 )
 from .phasetype import (
@@ -55,6 +58,10 @@ from .phasetype import (
 
 _TOL = 1e-12
 _BIG = 1e300
+# the Erlang shapes and alphas whose survival mlfun._survival_sum serves:
+# the region tests/test_distributions.py's oracle sweep certifies
+_SUM_SHAPE = 8
+_SUM_ALPHA = 0.9995
 # relative distance within which the score block's own E^{(p-1)} must meet
 # the certified kernel's for its sums at that point to be used
 _BLOCK_CHECK = 1e-9
@@ -234,24 +241,51 @@ def _erlang_logpdf(alpha, shapes, rates, nu, x, tol, score=False):
 
 
 def _erlang_logsf(alpha, shapes, rates, nu, x, tol):
-    """Erlang(p, lam) log-survivals, one row per (p, lam) component, from
-    one scalar-ML call per order s over every component with p > s."""
+    """Erlang(p, lam) log-survivals, one row per (p, lam) component.
+
+    S = sum_{s<p} w^s/s! E^{(s)}_{alpha,1}(-w) with w = lam x^{nu alpha},
+    by one of two paths:
+
+    * p <= _SUM_SHAPE and alpha <= _SUM_ALPHA: one contour sum per
+      component, mlfun._survival_sum, which gives S and F = 1 - S. log S
+      is log1p(-F) where F < 1/2, so it keeps its relative accuracy near
+      x = 0, where S rounds to 1, and log S elsewhere, S clamped to [0, 1];
+    * otherwise, one scalar-ML call per order s over every such component
+      with p > s, the terms joined in log space. Outside the region above,
+      only these calls meet the accuracy target. At alpha = 1 the call is
+      replaced by its closed form, log E^{(s)}_{1,1}(-w) = -w, which holds
+      however far the tail.
+    """
     c = nu * alpha
+    out = np.empty((len(rates), len(x)))
     w = [_power_arg(x, c, lam) for lam in rates]
-    terms = [np.empty((p, len(x))) for p in shapes]
+    rest = []
     with np.errstate(divide="ignore"):
-        logw = [np.log(wi) for wi in w]
-        for s in range(max(shapes)):
-            blocks = [i for i, p in enumerate(shapes) if p > s]
-            arg = -np.concatenate([w[i] for i in blocks])
-            es = _ml_deriv_vec(alpha, 1.0, arg, s, tol)
-            es = np.maximum(es, 0.0).reshape(len(blocks), len(x))
-            for i, e in zip(blocks, es):
+        for i, p in enumerate(shapes):
+            if p <= _SUM_SHAPE and alpha <= _SUM_ALPHA:
+                sf, cdf = _survival_sum(alpha, w[i], p, tol)
+                out[i] = np.where(cdf < 0.5, np.log1p(-np.clip(cdf, 0.0, 0.5)),
+                                  np.log(np.clip(sf, 0.0, 1.0)))
+            else:
+                rest.append(i)
+        logw = {i: np.log(w[i]) for i in rest}
+        terms = {i: np.empty((shapes[i], len(x))) for i in rest}
+        for s in range(max((shapes[i] for i in rest), default=0)):
+            blocks = [i for i in rest if shapes[i] > s]
+            if alpha == 1.0:
+                loge = [-w[i] for i in blocks]
+            else:
+                arg = -np.concatenate([w[i] for i in blocks])
+                es = _ml_deriv_vec(alpha, 1.0, arg, s, tol)
+                loge = np.log(np.maximum(es, 0.0)).reshape(len(blocks), len(x))
+            for i, e in zip(blocks, loge):
                 if s == 0:
-                    terms[i][s] = np.log(e)
+                    terms[i][s] = e
                 else:
-                    terms[i][s] = s * logw[i] - gammaln(s + 1.0) + np.log(e)
-    return np.array([_logsumexp(t) for t in terms])
+                    terms[i][s] = s * logw[i] - gammaln(s + 1.0) + e
+    for i in rest:
+        out[i] = _logsumexp(terms[i])
+    return out
 
 
 def _logpdf_partials(d, x):

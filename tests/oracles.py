@@ -134,6 +134,32 @@ def ml_matrix_shifted_nilpotent(alpha, beta, a, N):
     return out
 
 
+def erlang_sf_ref(alpha, shapes, u):
+    """Survivals sum_{s<p} u^s/s! E^(s)_{alpha,1}(-u) of Erlang(p) blocks
+    of an MML law, one per p in shapes, their terms from ml_ref; every term
+    is positive."""
+    terms = [mp.mpf(u) ** s / mp.factorial(s)
+             * mp.mpf(ml_ref_real(alpha, 1.0, -u, s))
+             for s in range(max(shapes))]
+    return [float(mp.fsum(terms[:p])) for p in shapes]
+
+
+def erlang_cdf_series(alpha, p, u):
+    """1 minus erlang_sf_ref, for 0 <= u <= 1, from its own power series
+    sum_{j>=p} (-1)^(j-p) C(j-1, p-1) u^j / Gamma(alpha j + 1), with the
+    binary alpha and u taken exactly, summed at 50 digits until a term is
+    below 1e-40 of the sum."""
+    with mp.workdps(50):
+        a, x, acc, j = mp.mpf(float(alpha)), mp.mpf(float(u)), mp.mpf(0), p
+        while True:
+            term = ((-1) ** (j - p) * mp.binomial(j - 1, p - 1) * x ** j
+                    * mp.rgamma(a * j + 1))
+            acc += term
+            if abs(term) <= mp.mpf("1e-40") * abs(acc):
+                return float(acc)
+            j += 1
+
+
 def ml_matrix_series(alpha, beta, A, dps):
     """E_{alpha,beta}(A) for a square numpy array A from its power series in
     mpmath matrices at dps digits, with A's binary entries taken exactly;
