@@ -12,7 +12,8 @@ to an .npz file. The battery covers:
 
 * `_contour_offpole_vec` and `_ml_vec` sweeps, real and complex arguments,
   derivative orders 0, 1, 2, 4, 8 and 12, and `_asymp_vec`, the contour
-  and `_ml_vec` on up to 20,001 points;
+  (complex too, at alpha = 0.999 and order 8), `_survival_sum` and
+  `_ml_vec` on up to 20,001 points, many slices each;
 * `mml_logpdf`, `mml_logsf` and `_logpdf_partials` of the six standard
   models and their untagged generators, at nu = 1 and 1.5, on
   geomspace(1e-6, 1e6, 61);
@@ -120,6 +121,14 @@ def _scalar_sweeps(put):
                                                    k, TOL))
             put(f"asymp/large/{alpha}/k{k}", lambda: mlfun._asymp_vec(
                 alpha, 1.0, xl[xl < -60.0], k, TOL))
+    zl = np.geomspace(1.02, 60.0, xl.size) * np.exp(
+        1j * np.linspace(0.999 * np.pi + 0.05, np.pi, xl.size))
+    put("contour/large/0.999/k8/complex",
+        lambda: mlfun._contour_offpole_vec(0.999, 0.999, zl, 8, TOL))
+    for alpha in (0.6, 0.999):
+        for p in (1, 3, 8):
+            put(f"survival_sum/large/{alpha}/p{p}",
+                lambda: mlfun._survival_sum(alpha, -xl, p, TOL))
 
 
 def _laws(put):

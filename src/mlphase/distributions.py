@@ -65,9 +65,6 @@ _SUM_ALPHA = 0.9995
 # relative distance within which the score block's own E^{(p-1)} must meet
 # the certified kernel's for its sums at that point to be used
 _BLOCK_CHECK = 1e-9
-# points per slice of the score block: its two complex (points, nodes)
-# temporaries stay near 0.3 MB however many points a likelihood has
-_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -175,8 +172,8 @@ def _score_block(alpha, p, u, nlogx, ds, tol):
 
     a = d log h_p / d alpha for h_p(u) = u^p E^{(p-1)}(-u) / (p-1)!, with
     u = lam x^{nu alpha}. Both come from one contour block over the folded
-    off-pole nodes s_j (weights w_j) of order p, a _contour_sum at z = -u
-    _BLOCK_ROWS points at a time: h_p(u) = sum_j w_j q_j^p
+    off-pole nodes s_j (weights w_j) of order p, a _contour_sum at z = -u,
+    sliced like every other: h_p(u) = sum_j w_j q_j^p
     with q_j = u r_j, r_j = 1/(s_j^alpha + u), and
     dq/dalpha = q (1 - q) (nu log x - log s). From R = r^(p+1), one product
     gives
@@ -196,7 +193,7 @@ def _score_block(alpha, p, u, nlogx, ds, tol):
         s, ws = _offpole_nodes(alpha, alpha, tol, p, real=True)
         sa = s ** alpha
         W = np.column_stack((ws, ws * sa, ws * sa * np.log(s)))
-        one, pw, dl = _contour_sum(sa, W, -u, p, _BLOCK_ROWS).real.T
+        one, pw, dl = _contour_sum(sa, W, -u, p).real.T
         ok = np.abs(fact * (pw + u * one) - ds) < _BLOCK_CHECK * ds
         dn = p * fact * one
         with np.errstate(divide="ignore", invalid="ignore"):

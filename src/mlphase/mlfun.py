@@ -6,12 +6,12 @@ The evaluator splits the complex plane into three regimes:
   tracking so a result is only accepted when float64 can support it;
 * an optimally truncated algebraic expansion in 1/z far from the origin,
   plus the exponential branch (1/alpha) z^{(1-beta)/alpha} exp(z^{1/alpha})
-  when |arg z| < alpha*pi. The terms are summed as a table, 4096 points
-  at a time: a block of 32 for every point and then blocks of twice the
-  length for the points not yet truncated, and each point is cut at its
-  first converged term or at its smallest term before three consecutive
-  growing ones; the expansion self-reports its attainable error and is only
-  accepted when that beats the accuracy target;
+  when |arg z| < alpha*pi. The terms are summed as a table: a block of 32
+  for every point and then blocks of twice the length for the points not
+  yet truncated, and each point is cut at its first converged term or at
+  its smallest term before three consecutive growing ones; the expansion
+  self-reports its attainable error and is only accepted when that beats
+  the accuracy target;
 * a parabolic Bromwich contour in between. The integrand
   exp(s) s^{alpha-beta} / (s^alpha - z) is sampled by the trapezoid rule on
   s(u) = mu (1+iu)^2; the single principal-sheet pole s* = z^{1/alpha}
@@ -21,11 +21,14 @@ The evaluator splits the complex plane into three regimes:
   places the pole image one full unit below the real axis in the u plane,
   so the quadrature converges at the same geometric rate as the pole-free
   case. Every off-pole contour sum of one derivative order, the fit's
-  score block included, is one kernel, _contour_sum, over slices of 4096
-  points (the score block's: 256). The survival of an Erlang(p) block,
-  the sum of the orders 0 to p - 1 with weights u^m/m!, is one contour
-  sum of its own over the same kind of nodes, _survival_sum, 256 points
-  at a time.
+  score block included, is one kernel, _contour_sum. The survival of an
+  Erlang(p) block, the sum of the orders 0 to p - 1 with weights u^m/m!,
+  is one contour sum of its own, _survival_sum, over the same nodes.
+
+Every (points x width) table, width a contour sum's node count or the
+asymptotic table's first 32 terms, goes in _slices of _SLICE = 4096
+elements: on 2 cores criterion 6's fit took 4x as long under default BLAS
+threading at 8192, as long as on one thread at 4096, 5-25 % more below.
 
 Derivatives use the term-wise differentiated series near the origin, a
 differentiated algebraic expansion or a powered-denominator contour off the
@@ -56,11 +59,7 @@ MAX_DIM = 64
 ACCURACY_MIN = 1e-14
 ACCURACY_MAX = 1e-6
 _EPS = 2.3e-16
-# points per slice of the contour product and of the asymptotic table
-_SLICE = 4096
-# points per slice of the Erlang survival sum: its four complex
-# (points, nodes) temporaries stay near 0.3 MB each
-_SF_ROWS = 256
+_SLICE = 4096  # elements (points x width) per slice: see _slices
 
 
 @dataclass(frozen=True)
@@ -222,22 +221,20 @@ def _asymp_vec(alpha, beta, z, k, tol, nmax=350):
     truncation (three consecutive growing terms), a block twice as long,
     up to nmax terms. Terms whose reciprocal-gamma factor sits at a pole dip
     are added to the sum but excluded from the truncation bookkeeping.
-    Each point has its own column of the table, which takes _SLICE points
-    at a time. The values have the dtype of z, real or complex.
+    Each point has its own column of the table, which goes in _slices. The
+    values have the dtype of z, real or complex.
     """
     z = np.asarray(z)
     zin = 1.0 / z
     snap = np.zeros_like(z)
     err = np.full(z.shape, np.inf)
-    for lo in range(0, z.size, _SLICE):
-        rows = np.arange(lo, min(lo + _SLICE, z.size))
-        nterms = 32
+    for sl in _slices(z.size, 32):
+        rows, nterms = np.arange(*sl.indices(z.size)), 32
         while rows.size:
             nterms = min(nterms, nmax)
             s, e, closed = _asymp_block(alpha, beta, zin[rows], k, tol,
                                         nterms)
-            if nterms == nmax:
-                closed[:] = True
+            closed |= nterms == nmax
             snap[rows[closed]] = s[closed]
             err[rows[closed]] = e[closed]
             rows = rows[~closed]
@@ -319,17 +316,24 @@ def _offpole_set(alpha, beta, tol, d, real):
     return s, w
 
 
-def _contour_sum(sa, W, z, k, rows=_SLICE):
+def _slices(n, width):
+    """The fewest even slices of range(n) of at most max(1, _SLICE // width)
+    points, one empty slice for n = 0. Even, as numpy sums a product of one
+    row another way: a one-point remainder would round differently."""
+    count = -(-max(n, 1) // max(1, _SLICE // width))
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def _contour_sum(sa, W, z, k):
     """sum_j W_j (sa_j - z_i)^-(k+1) at every z_i, sa_j = s_j^alpha at the
-    contour nodes s_j, W one weight column or several. Each slice of `rows`
-    points is one reciprocal r, k repeated products R = r^(k+1) and one
-    matrix product R @ W, so its temporaries stay a bounded size. The sums
-    are joined after the last slice: an output allocated before the
-    temporaries leaves them at the top of the heap, and glibc then returns
-    and refaults their pages on every call."""
+    contour nodes s_j, W one weight column or several. Each of the _slices
+    is one reciprocal r, k repeated products R = r^(k+1) and one matrix
+    product R @ W. The sums are joined after the last slice: an output
+    allocated before the temporaries leaves them at the top of the heap,
+    and glibc then returns and refaults their pages on every call."""
     parts = []
-    for lo in range(0, max(z.size, 1), rows):  # an empty z: one empty part
-        r = 1.0 / (sa - z[lo:lo + rows, None])
+    for sl in _slices(z.size, sa.size):
+        r = 1.0 / (sa - z[sl, None])
         R = r * r if k else r
         for _ in range(k - 1):  # repeated products: complex ** is slower
             R *= r
@@ -356,15 +360,14 @@ def _survival_sum(alpha, u, p, tol):
     strip holds F to 2e-13 up to p = 6, and to about 1e-11 at p = 8, alpha =
     0.999, where its sum cancels. Near u = 50 the top order's peak raises
     the trapezoid error of S, which with the nodes of tol itself reached
-    1.3e-12 at p = 8, alpha >= 0.999. The points go _SF_ROWS at a time, and
-    the sums are joined after the last slice, as in _contour_sum.
+    1.3e-12 at p = 8, alpha >= 0.999. Sliced and joined as in _contour_sum.
     """
     s, w = _offpole_nodes(alpha, 1.0, 0.1 * tol, max(p - 1, 4), real=True)
     sa = s ** alpha
     wf = w / sa
     sf, cdf = [], []
-    for lo in range(0, max(u.size, 1), _SF_ROWS):
-        ui = u[lo:lo + _SF_ROWS, None]
+    for sl in _slices(u.size, sa.size):
+        ui = u[sl, None]
         r = 1.0 / (sa + ui)
         q = ui * r
         acc, qp = r.copy(), q.copy()
@@ -372,9 +375,9 @@ def _survival_sum(alpha, u, p, tol):
             acc *= q
             acc += r
             qp *= q
-        sf.append(acc @ w)
-        cdf.append(qp @ wf)
-    return np.concatenate(sf).real, np.concatenate(cdf).real
+        sf.append((acc @ w).real.copy())
+        cdf.append((qp @ wf).real.copy())
+    return np.concatenate(sf), np.concatenate(cdf)
 
 
 def _contour_offpole_vec(alpha, beta, z, k, tol):

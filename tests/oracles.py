@@ -16,8 +16,8 @@ import mpmath as mp
 
 
 def _ml_series_mp(alpha, beta, z, k=0):
-    a = mp.mpf(repr(float(alpha)))
-    b = mp.mpf(repr(float(beta)))
+    a = mp.mpf(float(alpha))
+    b = mp.mpf(float(beta))
     r = abs(mp.mpmathify(z))
     amp = float(r ** (1.0 / float(alpha))) if r > 0 else 1.0
     # cancellation in the alternating series loses ~amp/ln(10) digits
@@ -51,8 +51,8 @@ def _asymp_terms_mp(alpha, beta, z, k, dps):
     sum but are excluded from the truncation bookkeeping.  Returns the partial
     sum and the magnitude of the smallest contributing term.
     """
-    a = mp.mpf(repr(float(alpha)))
-    b = mp.mpf(repr(float(beta)))
+    a = mp.mpf(float(alpha))
+    b = mp.mpf(float(beta))
     with mp.workdps(dps):
         zc = mp.mpmathify(z)
         terms = []
@@ -91,8 +91,8 @@ def _asymp_terms_mp(alpha, beta, z, k, dps):
 
 def _ml_asymp_mp(alpha, beta, z, k=0, dps=60):
     """Asymptotic value with a relative error estimate (min-term heuristic)."""
-    a = mp.mpf(repr(float(alpha)))
-    b = mp.mpf(repr(float(beta)))
+    a = mp.mpf(float(alpha))
+    b = mp.mpf(float(beta))
     with mp.workdps(dps):
         zc = mp.mpmathify(z)
         s, mmin = _asymp_terms_mp(alpha, beta, z, k, dps)

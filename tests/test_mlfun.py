@@ -358,36 +358,57 @@ def test_series_memory_linear_in_points():
 
 @pytest.mark.parametrize("k", [0, 8])
 def test_contour_memory_bounded_in_points(k):
-    # the contour product goes 4096 points at a time: taken whole, its two
-    # (points, nodes) temporaries would hold 143 to 279 arrays of n at 1e5
-    # points
-    from mlphase.mlfun import _contour_offpole_vec
+    # the contour product goes about 4096 elements (points x nodes) at a
+    # time, so its peak does not grow with the node count: with slices of a
+    # fixed 4096 points, its two (points, nodes) temporaries held 10 to 68
+    # float64 arrays of n at 1e5 points, the most at alpha = 0.999 on
+    # complex z, and taken whole, up to 279. The Erlang survival sum is
+    # sliced the same way and keeps only the real parts of its sums: it
+    # peaked at 9.1 to 9.5 while it held the complex ones
+    from mlphase.mlfun import _contour_offpole_vec, _survival_sum
 
-    z = -np.geomspace(1.02, 50.0, 100_000)
-    peak = _peak_bytes(lambda: _contour_offpole_vec(0.9, 0.9, z, k, 1e-12))
-    assert peak < 32 * z.nbytes
+    r = np.geomspace(1.02, 50.0, 100_000)
+    for alpha in (0.9, 0.999):
+        theta = np.linspace(alpha * np.pi + 0.05, np.pi, r.size)
+        for z in (-r, r * np.exp(1j * theta)):
+            peak = _peak_bytes(lambda: _contour_offpole_vec(alpha, alpha, z,
+                                                            k, 1e-12))
+            assert peak < 8 * r.nbytes, (alpha, z.dtype)
+    peak = _peak_bytes(lambda: _survival_sum(0.999, r, max(k, 1), 1e-12))
+    assert peak < 8 * r.nbytes
 
 
 @pytest.mark.parametrize("k", [0, 4])
 def test_asymptotic_memory_bounded_in_points(k):
-    # the expansion's table goes 4096 points at a time: taken whole, its
-    # first block of 32 terms would hold 224 arrays of n at 1e5 points
+    # the expansion's table goes about 4096 elements at a time, 128 points
+    # of its first block of 32 terms: taken whole, that block would hold
+    # 224 arrays of n at 1e5 points
     z = -np.geomspace(60.0, 1e6, 100_000)
     peak = _peak_bytes(lambda: _asymp_vec(0.9, 1.0, z, k, 1e-12))
     assert peak < 32 * z.nbytes
 
 
 @pytest.mark.parametrize("k", [0, 3])
-def test_contour_sum_slices_are_independent(k):
-    # each point's sum is its own row of the product, whatever slice of
-    # points it lands in
-    from mlphase.mlfun import _contour_sum, _offpole_nodes
+def test_contour_sum_slices_are_independent(k, monkeypatch):
+    # each point's sums are its own row of the product, whatever slice of
+    # points it lands in: 37 points a slice, or one point a slice when the
+    # budget is below the node count
+    from mlphase import mlfun
 
-    s, w = _offpole_nodes(0.7, 1.0, 1e-12, k, True)
+    s, w = mlfun._offpole_nodes(0.7, 1.0, 1e-12, k, True)
+    # the survival sum of order k + 1 takes the nodes of max(k, 4) at tol/10
+    n = mlfun._offpole_nodes(0.7, 1.0, 1e-13, max(k, 4), True)[0].size
     z = -np.geomspace(1.02, 30.0, 301)
-    whole = _contour_sum(s ** 0.7, w, z, k)
-    assert np.allclose(_contour_sum(s ** 0.7, w, z, k, rows=37), whole,
-                       rtol=1e-14, atol=0.0)
+    u = np.geomspace(1e-4, 1e4, 301)
+    whole = mlfun._contour_sum(s ** 0.7, w, z, k)
+    sf = mlfun._survival_sum(0.7, u, k + 1, 1e-12)
+    for rows in (37, 0):
+        monkeypatch.setattr(mlfun, "_SLICE", rows * s.size or s.size - 1)
+        assert np.allclose(mlfun._contour_sum(s ** 0.7, w, z, k), whole,
+                           rtol=1e-14, atol=0.0)
+        monkeypatch.setattr(mlfun, "_SLICE", rows * n or n - 1)
+        for got, want in zip(mlfun._survival_sum(0.7, u, k + 1, 1e-12), sf):
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_offpole_nodes_cached_read_only():
