@@ -13,10 +13,13 @@ to an .npz file. The battery covers:
 * `_contour_offpole_vec` and `_ml_vec` sweeps, real and complex arguments,
   derivative orders 0, 1, 2, 4, 8 and 12, and `_asymp_vec`, the contour
   (complex too, at alpha = 0.999 and order 8), `_survival_sum` and
-  `_ml_vec` on up to 20,001 points, many slices each;
+  `_ml_vec` on up to 20,001 points, many slices each, on the negative axis
+  and, at derivative orders 0 and 8, on the exponential sector;
 * `mml_logpdf`, `mml_logsf` and `_logpdf_partials` of the six standard
   models and their untagged generators, at nu = 1 and 1.5, on
   geomspace(1e-6, 1e6, 61);
+* `mml_pdf` and `mml_sf` of a 3-cycle law, whose generator has complex
+  eigenvalues on the exponential sector, on geomspace(1e-3, 1e3, 200);
 * `mml_logsf` of Erlang(8) and Erlang(12) laws at alpha = 0.9, one on each
   side of the Erlang survival's choice of path, at alpha = 1 at x = 745
   and 800, where e^-x underflows, and `mml_sf` in the far tail, at x = 1e100,
@@ -121,6 +124,14 @@ def _scalar_sweeps(put):
                                                    k, TOL))
             put(f"asymp/large/{alpha}/k{k}", lambda: mlfun._asymp_vec(
                 alpha, 1.0, xl[xl < -60.0], k, TOL))
+    # the exponential sector, past slice and node-set edges
+    rs = np.geomspace(1e-2, 60.0, xl.size)
+    zs = rs * np.exp(1j * np.linspace(0.0, 0.99 * 0.9 * np.pi, xl.size))
+    for k in (0, 8):
+        put(f"ml_vec/sector/0.9/k{k}/real",
+            lambda: mlfun._ml_vec(0.9, 1.0, rs, k, TOL))
+        put(f"ml_vec/sector/0.9/k{k}/complex",
+            lambda: mlfun._ml_vec(0.9, 1.0, zs, k, TOL))
     zl = np.geomspace(1.02, 60.0, xl.size) * np.exp(
         1j * np.linspace(0.999 * np.pi + 0.05, np.pi, xl.size))
     put("contour/large/0.999/k8/complex",
@@ -134,7 +145,7 @@ def _scalar_sweeps(put):
 def _laws(put):
     from mlphase import distributions
     from mlphase.distributions import MMLDist, PMMLDist
-    from mlphase.phasetype import make_erlang
+    from mlphase.phasetype import make_erlang, make_general
 
     x = np.geomspace(1e-6, 1e6, 61)
     for name, d in _models():
@@ -147,6 +158,12 @@ def _laws(put):
                 put(f"{key}/logsf", lambda: distributions.mml_logsf(dd, x))
                 put(f"{key}/partials",
                     lambda: distributions._logpdf_partials(dd, x))
+    # a 3-cycle, whose complex eigenvalues sit on the exponential sector
+    T = -np.eye(3) + 0.9 * np.roll(np.eye(3), 1, axis=1)
+    cycle = MMLDist(0.9, make_general((1.0, 0.0, 0.0), T))
+    xc = np.geomspace(1e-3, 1e3, 200)
+    put("law/cycle3_a09/pdf", lambda: distributions.mml_pdf(cycle, xc))
+    put("law/cycle3_a09/sf", lambda: distributions.mml_sf(cycle, xc))
     for p in (8, 12):
         law = MMLDist(0.9, make_erlang(p, 1.5))
         put(f"law/erlang{p}_a09/logsf", lambda: distributions.mml_logsf(law, x))

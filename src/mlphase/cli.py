@@ -22,9 +22,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .distributions import dist_from_doc, pmml_pdf, pmml_sf
-# kept for bench/tracer.py, which wraps this name
-from .distributions import pmml_cdf  # noqa: F401
+from . import distributions
+from .distributions import _cdf_from_logsf, dist_from_doc, pmml_pdf
+# kept for bench/tracer.py, which wraps these names
+from .distributions import pmml_cdf, pmml_sf  # noqa: F401
 from .errors import EvaluationError, ValidationError, _document, _integer, _json
 from .fitting import FitConfig, fit_pmml
 from .rng import RandomStream
@@ -203,9 +204,10 @@ def _cmd_eval(args, manifest: RunManifest) -> int:
     pos = xs > 0.0
     if np.any(pos):
         pdf[pos] = np.atleast_1d(pmml_pdf(model, xs[pos]))
-    sf = np.atleast_1d(pmml_sf(model, xs))
-    # pmml_cdf's values, bit for bit, without a second survival pass
-    cdf = np.clip(1.0 - sf, 0.0, 1.0)
+    # one survival pass gives pmml_sf's and pmml_cdf's values, bit for bit;
+    # looked up on the module, where bench/tracer.py wraps it
+    logsf = np.atleast_1d(distributions.mml_logsf(model, xs))
+    sf, cdf = np.exp(logsf), _cdf_from_logsf(logsf)
 
     _write_csv(args, manifest, "eval.csv", "x,pdf,cdf,survival",
                xs, pdf, cdf, sf)

@@ -426,11 +426,15 @@ def mml_logsf(d: MMLDist | PMMLDist, x):
     return _from_logsf(d, x, 0.0, lambda ls: ls)
 
 
+def _cdf_from_logsf(ls):
+    """1 - e^ls as -expm1(ls), exact as S -> 1, in [0, 1], +0.0 at ls = 0."""
+    return np.clip(0.0 - np.expm1(ls), 0.0, 1.0)
+
+
 def mml_cdf(d: MMLDist | PMMLDist, x):
     """Distribution function 1 - pi E_{alpha,1}(T x^{nu alpha}) 1 for
     x >= 0."""
-    return _from_logsf(d, x, 0.0,
-                       lambda ls: np.clip(1.0 - np.exp(ls), 0.0, 1.0))
+    return _from_logsf(d, x, 0.0, _cdf_from_logsf)
 
 
 def mml_laplace(d: MMLDist, u):

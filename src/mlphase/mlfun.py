@@ -5,41 +5,28 @@ The evaluator splits the complex plane into three regimes:
 * power series near the origin (|z| <= 1), with running cancellation
   tracking so a result is only accepted when float64 can support it;
 * an optimally truncated algebraic expansion in 1/z far from the origin,
-  plus the exponential branch (1/alpha) z^{(1-beta)/alpha} exp(z^{1/alpha})
-  when |arg z| < alpha*pi. The terms are summed as a table: a block of 32
-  for every point and then blocks of twice the length for the points not
-  yet truncated, and each point is cut at its first converged term or at
-  its smallest term before three consecutive growing ones; the expansion
-  self-reports its attainable error and is only accepted when that beats
-  the accuracy target;
-* a parabolic Bromwich contour in between. The integrand
-  exp(s) s^{alpha-beta} / (s^alpha - z) is sampled by the trapezoid rule on
-  s(u) = mu (1+iu)^2; the single principal-sheet pole s* = z^{1/alpha}
-  (present when |arg z| < alpha*pi) is kept to the right of the contour by
-  choosing mu = phi(s*)/4, where phi(s) = (Re s + |s|)/2 is the parabola
-  parameter through s, and its residue is added explicitly. That choice
-  places the pole image one full unit below the real axis in the u plane,
-  so the quadrature converges at the same geometric rate as the pole-free
-  case. Every off-pole contour sum of one derivative order, the fit's
-  score block included, is one kernel, _contour_sum. The survival of an
-  Erlang(p) block, the sum of the orders 0 to p - 1 with weights u^m/m!,
-  is one contour sum of its own, _survival_sum, over the same nodes.
+  plus the pole term _pole_term when |arg z| < alpha*pi. The terms are
+  summed as a table: a block of 32 for every point and then blocks of
+  twice the length for the points not yet truncated, and each point is cut
+  at its first converged term or at its smallest term before three
+  consecutive growing ones; the expansion self-reports its attainable
+  error and is only accepted when that beats the accuracy target;
+* a parabolic Bromwich contour in between: the integrand
+  exp(s) s^{alpha-beta} k! / (s^alpha - z)^{k+1} of the k-th derivative
+  sampled by the trapezoid rule on s(u) = mu (1+iu)^2. Every sum of one
+  node set is one kernel, _contour_sum, the fit's score block included;
+  the survival of an Erlang(p) block, the orders 0 to p - 1 with weights
+  u^m/m!, is one sum of its own, _survival_sum. On the exponential sector
+  _contour_pole_scalar leaves the pole z^{1/alpha} outside its contour,
+  adding _pole_term, or encloses it.
 
 Every (points x width) table, width a contour sum's node count or the
 asymptotic table's first 32 terms, goes in _slices of _SLICE = 4096
 elements: on 2 cores criterion 6's fit took 4x as long under default BLAS
 threading at 8192, as long as on one thread at 4096, 5-25 % more below.
 
-Derivatives use the term-wise differentiated series near the origin, a
-differentiated algebraic expansion or a powered-denominator contour off the
-exponential sector, and otherwise reduce to base evaluations through the
-recursion
-
-    E^(k)(z) = (alpha^k z^k)^{-1} sum_j c_j^(k) E_{alpha, beta-j}(z)
-
-with integer-recurrence coefficients c_j^(k).
-
-alpha in (1, 2) is reduced to alpha/2 by
+Only for alpha in (1, 2) do derivatives reduce to base evaluations, by the
+recursion of _recursion_deriv_vec; base values there come from alpha/2 by
 
     E_{alpha,beta}(z) = ( E_{alpha/2,beta}(sqrt z) + E_{alpha/2,beta}(-sqrt z) ) / 2.
 """
@@ -215,14 +202,14 @@ def _asymp_vec(alpha, beta, z, k, tol, nmax=350):
     """Optimally truncated algebraic expansion of the k-th derivative.
 
     Returns (values, relerr): relerr[i] is the self-reported attainable
-    relative error at z[i] (np.inf when the expansion is unusable there).
-    The expansion is summed in blocks: the first 32 terms for every point,
-    then, for the points that neither converged nor reached their optimal
-    truncation (three consecutive growing terms), a block twice as long,
-    up to nmax terms. Terms whose reciprocal-gamma factor sits at a pole dip
-    are added to the sum but excluded from the truncation bookkeeping.
-    Each point has its own column of the table, which goes in _slices. The
-    values have the dtype of z, real or complex.
+    relative error at z[i] (np.inf where unusable); on the exponential
+    sector the values add _pole_term. The terms are summed in blocks: the
+    first 32 for every point, then, for the points that neither converged
+    nor reached their optimal truncation (three consecutive growing terms),
+    a block twice as long, up to nmax terms. Terms whose reciprocal-gamma
+    factor sits at a pole dip are added to the sum but excluded from the
+    truncation bookkeeping. Each point has its own column of the table,
+    which goes in _slices. The values have the dtype of z, real or complex.
     """
     z = np.asarray(z)
     zin = 1.0 / z
@@ -240,21 +227,12 @@ def _asymp_vec(alpha, beta, z, k, tol, nmax=350):
             rows = rows[~closed]
             nterms *= 2
     vals = snap
-    theta = np.abs(np.angle(z))
-    if k == 0:
-        sector = theta < alpha * np.pi
-        if sector.any():
-            w = np.where(sector, z, 1.0) ** (1.0 / alpha)
-            if np.any(sector & (w.real > 690.0)):
-                raise EvaluationError("Mittag-Leffler overflow")
-            branch = (1.0 / alpha) * w ** (1.0 - beta) * np.exp(w)
-            vals = np.where(sector, vals + branch, vals)
-            err = np.where(sector,
-                           err * np.abs(snap) / (np.abs(vals) + 1e-300), err)
-    else:
-        # differentiated exponential branch not implemented; only usable off
-        # the exponential sector
-        err = np.where(theta < alpha * np.pi, np.inf, err)
+    sector = np.abs(np.angle(z)) < alpha * np.pi
+    if sector.any():
+        w = np.where(sector, z, 1.0) ** (1.0 / alpha)
+        vals = np.where(sector, vals + _pole_term(alpha, beta, w, k), vals)
+        err = np.where(sector,
+                       err * np.abs(snap) / (np.abs(vals) + 1e-300), err)
     return vals, err
 
 
@@ -266,12 +244,12 @@ def _asymp_threshold(alpha, tol):
 # ---------------------------------------------------------------------------
 # contour regime
 
-def _contour_nodes(alpha, beta, tol, mu, d):
-    """Trapezoid nodes and exp/power weights for the parabola s = mu(1+iu)^2."""
+def _contour_nodes(alpha, beta, tol, mu, d, reach):
+    """Trapezoid nodes, weights on s = mu(1+iu)^2 to |s| ~ max(lam, reach)."""
     spar = abs(np.sin(alpha * np.pi))
     lam = -np.log(tol) + np.log(1.0 + 1.0 / max(spar, 1e-3)) + 6.0
     h = 2.0 * np.pi * d / lam
-    uN = np.sqrt(1.0 + lam / max(mu, 1e-8))
+    uN = np.sqrt(1.0 + max(lam, reach) / mu)
     N = int(np.ceil(uN / h))
     if N > 400000:
         raise EvaluationError("contour quadrature did not converge")
@@ -282,33 +260,32 @@ def _contour_nodes(alpha, beta, tol, mu, d):
     return s, w
 
 
-def _offpole_nodes(alpha, beta, tol, k, real):
-    """Nodes and weights of the off-pole contour for the k-th derivative.
+def _offpole_nodes(alpha, beta, tol, k, real, mu=1.0, d=1.0, reach=0.0):
+    """Nodes and weights of the contour for the k-th derivative.
 
-    The parabola has mu = 1 and a strip half-width d = 1, narrowed to 0.8 at
-    alpha >= 0.999 and halved at k >= 4. With real, the nodes are folded
-    onto u >= 0: for a real argument the terms at -u are the conjugates of
-    those at u, so every node but u = 0 keeps twice its weight, and the
-    caller takes the real part of its sum. A set depends on k only through
-    d, and is built once per (alpha, beta, tol, d, real) by _offpole_set.
+    The parabola mu and strip half-width d are 1 off the sector. d is
+    narrowed by 0.8 at alpha >= 0.999 and halved at k >= 4. With real, the
+    nodes are folded onto u >= 0: for a real argument the terms at -u are the
+    conjugates of those at u, so every node but u = 0 keeps twice its weight,
+    and the caller takes the real part of its sum. A set depends on k only
+    through d, and is built once per key by _offpole_set.
     """
-    d = 1.0
     if alpha >= 0.999:
         # near alpha = 1 a singular point sits close to the branch-cut image;
         # narrow the strip to keep it clear of the contour
-        d = 0.8
+        d *= 0.8
     if k >= 4:
         # the powered denominator magnifies the trapezoid error of the
         # nearest singularity; a half-width strip holds the target to k = 8
         d *= 0.5
-    return _offpole_set(alpha, beta, tol, d, real)
+    return _offpole_set(alpha, beta, tol, d, real, mu, reach)
 
 
-@functools.lru_cache(maxsize=32)
-def _offpole_set(alpha, beta, tol, d, real):
-    """The node set of _offpole_nodes for strip half-width d, built once per
-    key and shared by every caller, so its arrays are read-only."""
-    s, w = _contour_nodes(alpha, beta, tol, mu=1.0, d=d)
+@functools.lru_cache(maxsize=64)
+def _offpole_set(alpha, beta, tol, d, real, mu, reach):
+    """The node set of _offpole_nodes, built once per key and shared by
+    every caller, so its arrays are read-only."""
+    s, w = _contour_nodes(alpha, beta, tol, mu, d, reach)
     if real:
         mid = s.size // 2  # the node u = 0
         s, w = s[mid:], np.concatenate((w[mid:mid + 1], 2.0 * w[mid + 1:]))
@@ -391,25 +368,8 @@ def _contour_offpole_vec(alpha, beta, z, k, tol):
     return _factorial(k) * (val.real if real else val)
 
 
-def _contour_pole_scalar(alpha, beta, z, tol):
-    """Contour evaluation with the pole's residue added (k = 0 only)."""
-    z = complex(z)
-    sstar = z ** (1.0 / alpha)
-    if sstar.real > 690.0:
-        raise EvaluationError("Mittag-Leffler overflow")
-    phi = (sstar.real + abs(sstar)) / 2.0
-    mu = phi / 4.0
-    res = (1.0 / alpha) * sstar ** (1.0 - beta) * np.exp(sstar)
-    s, w = _contour_nodes(alpha, beta, tol, mu=mu, d=1.0)
-    val = (w / (s ** alpha - z)).sum()
-    return val + res
-
-
-# ---------------------------------------------------------------------------
-# scalar/vector evaluation core
-
 def _deriv_coeffs(alpha, beta, k):
-    """Coefficients c_j^(k) of the derivative recursion."""
+    """Coefficients c_j^(k) of the recursion of _recursion_deriv_vec."""
     c = np.array([1.0])
     for kk in range(1, k + 1):
         nxt = np.zeros(kk + 1)
@@ -422,8 +382,61 @@ def _deriv_coeffs(alpha, beta, k):
     return c
 
 
+def _pole_term(alpha, beta, w, k):
+    """d^k/dz^k of the residue (1/alpha) w^{1-beta} e^w at the pole w =
+    z^{1/alpha}: alpha^-(k+1) w^{1-beta-k alpha} e^w sum_j c_j w^j, c from
+    _deriv_coeffs, as the residues of E_{alpha,beta-j} obey the recursion;
+    nothing cancels. Raises EvaluationError at Re w > 690: e^w overflows."""
+    if np.any(w.real > 690.0):
+        raise EvaluationError("Mittag-Leffler overflow")
+    c = _deriv_coeffs(alpha, beta, k)
+    return ((1.0 / alpha) * w ** (1.0 - beta - k * alpha) * np.exp(w)
+            * np.polyval(c[::-1], w) / alpha ** k)
+
+
+def _contour_pole_scalar(alpha, beta, z, k, tol):
+    """Contour for every point of a call on the exponential sector (a name
+    bench/tracer.py wraps, counting one point per call).
+
+    phi = (Re w + |w|)/2 parametrizes the parabola through the pole w. Where
+    phi > t, or phi > t/4 and phi |w| >= 4 (t = 1, or 2 from k = 8), the
+    parabola mu = 2^floor(log2(phi/4)) <= 1 passes left of w, a unit or more
+    from its image, and _pole_term adds the residue. Elsewhere it encloses w
+    at mu = 2^ceil(log2(4 phi)) >= 1, half a unit or more away, on a quarter
+    strip: a residue near the cut, or of a high order, cancels against the
+    nodes near it. The strip is also halved at k = 1 and 8, and the nodes
+    reach |s| >= 2|w|, past where the powered denominator peaks.
+    """
+    real = not np.iscomplexobj(z)
+    w = z ** (1.0 / alpha)
+    aw = np.abs(w)
+    phi = (w.real + aw) / 2.0
+    t = 2.0 if k >= 8 else 1.0
+    res = (phi > t) | ((phi > t / 4.0) & (phi * aw >= 4.0))
+    out = np.zeros_like(z)
+    out[res] = _pole_term(alpha, beta, w[res], k)
+    with np.errstate(divide="ignore"):
+        lg = np.log2(4.0 * phi)
+    # one row per node set: mu, negated where no residue is added, and reach
+    sets = np.stack((np.where(res, np.exp2(np.minimum(np.floor(lg) - 4, 0)),
+                              -np.exp2(np.maximum(np.ceil(lg), 0))),
+                     np.exp2(np.ceil(np.log2(np.maximum(2.0 * aw, 32.0))))),
+                    axis=1)
+    for m, r in np.unique(sets, axis=0):
+        at = (sets == (m, r)).all(axis=1)
+        d = (1.0 if m > 0 else 0.25) * 0.5 ** ((k > 0) + (k >= 8))
+        s, wt = _offpole_nodes(alpha, beta, tol, k, real, abs(m), d, r)
+        val = _contour_sum(s ** alpha, wt, z[at], k)
+        out[at] += _factorial(k) * (val.real if real else val)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scalar/vector evaluation core
+
 def _recursion_deriv_vec(alpha, beta, z, k, tol):
-    """k-th derivative through base evaluations at shifted second parameter."""
+    """E^(k)(z) = (alpha z)^-k sum_j c_j^(k) E_{alpha,beta-j}(z): the path at
+    alpha in (1, 2), k > 0. Its terms cancel, missing the target from k = 4."""
     z = np.asarray(z)
     c = _deriv_coeffs(alpha, beta, k)
     acc = np.zeros_like(z)
@@ -438,10 +451,10 @@ def _ml_vec(alpha, beta, z, k, tol):
 
     Real in, real out: a real array stays float64 through every regime,
     and a complex one is evaluated in complex128. Each point goes to the
-    first regime that certifies it: the series for |z| <= 1; for k > 0 on
-    the exponential sector, the recursion; the algebraic expansion for |z|
-    beyond the asymptotic threshold; otherwise the contour, with the pole's
-    residue added on the sector (k = 0 only).
+    first regime that certifies it: the series for |z| <= 1; for alpha > 1
+    and k > 0, the recursion; the algebraic expansion for |z| beyond the
+    asymptotic threshold; then the off-pole contour, or on the exponential
+    sector, at every k, the sector contour.
     """
     real = not np.iscomplexobj(z)
     z = np.asarray(z, dtype=float if real else complex)
@@ -465,26 +478,22 @@ def _ml_vec(alpha, beta, z, k, tol):
         out[idx] = vals[ok]
         todo[idx] = False
 
-    pole = np.abs(np.angle(z)) < alpha * np.pi
-    if k > 0:
-        # on the exponential sector the recursion handles the pole terms
-        # through its base evaluations
-        rec = todo & pole
-        if rec.any():
-            out[rec] = _recursion_deriv_vec(alpha, beta, z[rec], k, tol)
-        todo &= ~pole
+    if alpha > 1.0:
+        out[todo] = _recursion_deriv_vec(alpha, beta, z[todo], k, tol)
+        return out
     attempt = np.nonzero(todo & (az >= _asymp_threshold(alpha, tol)))[0]
     if attempt.size:
         vals, err = _asymp_vec(alpha, beta, z[attempt], k, tol)
         good = err < 0.3 * tol
         out[attempt[good]] = vals[good]
         todo[attempt[good]] = False
+    pole = np.abs(np.angle(z)) < alpha * np.pi
     off = todo & ~pole
     if off.any():
         out[off] = _contour_offpole_vec(alpha, beta, z[off], k, tol)
-    for i in np.nonzero(todo & pole)[0]:
-        v = _contour_pole_scalar(alpha, beta, z[i], tol)
-        out[i] = v.real if real else v
+    sector = todo & pole
+    if sector.any():
+        out[sector] = _contour_pole_scalar(alpha, beta, z[sector], k, tol)
     return out
 
 

@@ -110,7 +110,7 @@ def test_eval_single_point_at_zero(tmp_path):
     tab = np.genfromtxt(os.path.join(out, "eval.csv"),
                         delimiter=",", names=True)
     assert tab["x"] == 0.0
-    assert tab["cdf"] == 0.0
+    assert tab["cdf"] == 0.0 and not np.signbit(tab["cdf"])
     assert tab["survival"] == 1.0
     assert np.isnan(tab["pdf"])
 

@@ -420,6 +420,17 @@ def test_erlang_cdf_relative_near_zero(alpha):
         assert err.max() < (1e-12 if p <= 6 else 2e-11), (p, err.max())
 
 
+def test_mml_cdf_relative_near_zero():
+    # the law's cdf is -expm1(log S), not 1 - S: at x = 1e-4 and 1e-3 the
+    # difference 1 - S of MML(0.7, Erlang(4, 2)) was off by 2.8e-7 and 4.8e-9
+    from oracles import erlang_cdf_series
+
+    x = np.array([1e-4, 1e-3])
+    got = mml_cdf(MMLDist(0.7, make_erlang(4, 2.0)), x)
+    want = np.array([erlang_cdf_series(0.7, 4, 2.0 * v ** 0.7) for v in x])
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
 def test_alpha_one_survival_log_form():
     # at alpha = 1 the Erlang(2, 1) survival is e^-x (1 + x); its log must
     # hold where e^-x underflows

@@ -181,8 +181,8 @@ def test_offpole_contour_high_order(alpha, k):
 def test_real_path(alpha, beta_kind, k):
     # a float64 argument stays float64 through every regime: the series
     # (|z| <= 1), the algebraic expansion (past the asymptotic threshold),
-    # the folded off-pole contour on [-7, -1.02], and for z > 0 the pole
-    # contour (k = 0) or the derivative recursion (k > 0). The contour
+    # the folded off-pole contour on [-7, -1.02], and for z > 0 the folded
+    # sector contour with the pole term added, at every order. The contour
     # points at alpha = 0.9, k = 8 are the band the benchmark still leaves
     # unchecked (DERIV_BAND_FAULT); they meet the target, so they stay in.
     from oracles import ml_ref
@@ -192,17 +192,49 @@ def test_real_path(alpha, beta_kind, k):
     # past the threshold, and far enough out that the oracle takes its own
     # expansion rather than a slow high-precision series
     far = max(1.5 * _asymp_threshold(alpha, tol), 600.0 ** alpha)
-    z = [-0.3, -0.9, 0.6, -far, -3.0 * far, -1.02, -3.0, -7.0, 3.0, 4.0]
-    if k < 8:
-        # at k = 8 the recursion cancels below z = 3 and misses the target
-        # (2.3e-10 at alpha = 0.9, z = 1.5; ROADMAP item 6)
-        z.append(1.5)
-    z = np.array(z)
+    z = np.array([-0.3, -0.9, 0.6, -far, -3.0 * far, -1.02, -3.0, -7.0,
+                  1.5, 2.0, 3.0, 4.0])
     vals = _ml_vec(alpha, beta, z, k, tol)
     assert vals.dtype == np.float64
     for zi, v in zip(z, vals):
         ref = complex(ml_ref(alpha, beta, complex(zi), k)).real
         assert _rel(v, ref) < 1e-12, (zi, v, ref)
+
+
+_CYCLE = -np.eye(3) + 0.9 * np.roll(np.eye(3), 1, axis=1)  # arg lambda = 0.84 pi
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9, 0.99])
+def test_exponential_sector_matches_oracle(alpha):
+    # |arg z| < alpha pi, where the integrand has a pole at z^(1/alpha): the
+    # sector contour and the expansion add the pole term at every order.
+    # beta alternates over the (|z|, arg) grid to hold the oracle's time to
+    # about 13 s
+    from oracles import ml_ref
+
+    cases = [(k, r * np.exp(1j * f * alpha * np.pi), (1.0, alpha)[(i + j) % 2])
+             for k in (0, 1, 4, 8)
+             for i, r in enumerate((1.02, 1.5, 3.0, 8.0))
+             for j, f in enumerate((0.0, 0.3, 0.6, 0.9, 0.99))]
+    if alpha == 0.5:
+        # past the asymptotic threshold, where the expansion adds the pole
+        # term; at |z| = 20 the oracle's series took 7.5 s
+        cases += [(k, 10.0 * np.exp(0.3j * 0.5 * np.pi), 1.0) for k in (1, 4, 8)]
+    for k, z, beta in cases:
+        got = ml_deriv(MLParams(alpha, beta), z, k)
+        ref = complex(ml_ref(alpha, beta, complex(z), k))
+        assert _rel(got, ref) < 1e-12, (k, z, beta)
+    if alpha == 0.9:
+        # a generator with complex eigenvalues on the sector, through the
+        # eigen branch of ml_matrix
+        from oracles import ml_matrix_series
+
+        for x in (0.5, 2.0, 5.0, 10.0):
+            A = _CYCLE * x ** 0.9
+            for beta in (0.9, 1.0):
+                out = ml_matrix(MLParams(0.9, beta), A)
+                ref = ml_matrix_series(0.9, beta, A, 60)
+                assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
@@ -365,7 +397,11 @@ def test_contour_memory_bounded_in_points(k):
     # complex z, and taken whole, up to 279. The Erlang survival sum is
     # sliced the same way and keeps only the real parts of its sums: it
     # peaked at 9.1 to 9.5 while it held the complex ones
-    from mlphase.mlfun import _contour_offpole_vec, _survival_sum
+    from mlphase.mlfun import (
+        _contour_offpole_vec,
+        _contour_pole_scalar,
+        _survival_sum,
+    )
 
     r = np.geomspace(1.02, 50.0, 100_000)
     for alpha in (0.9, 0.999):
@@ -374,6 +410,13 @@ def test_contour_memory_bounded_in_points(k):
             peak = _peak_bytes(lambda: _contour_offpole_vec(alpha, alpha, z,
                                                             k, 1e-12))
             assert peak < 8 * r.nbytes, (alpha, z.dtype)
+        # the sector contour takes every point of a call, each node set's
+        # points through one _contour_sum
+        theta = np.linspace(0.0, alpha * np.pi - 0.05, r.size)
+        for z in (r, r * np.exp(1j * theta)):
+            peak = _peak_bytes(lambda: _contour_pole_scalar(alpha, alpha, z,
+                                                            k, 1e-12))
+            assert peak < 20 * r.nbytes, (alpha, z.dtype)
     peak = _peak_bytes(lambda: _survival_sum(0.999, r, max(k, 1), 1e-12))
     assert peak < 8 * r.nbytes
 
