@@ -14,7 +14,8 @@ to an .npz file. The battery covers:
   derivative orders 0, 1, 2, 4, 8 and 12, and `_asymp_vec`, the contour
   (complex too, at alpha = 0.999 and order 8), `_survival_sum` and
   `_ml_vec` on up to 20,001 points, many slices each, on the negative axis
-  and, at derivative orders 0 and 8, on the exponential sector;
+  and, at derivative orders 0 and 8, on the exponential sector; and
+  `_ml_vec` at alpha = 1.9 on complex arguments at orders 0, 4 and 8;
 * `mml_logpdf`, `mml_logsf` and `_logpdf_partials` of the six standard
   models and their untagged generators, at nu = 1 and 1.5, on
   geomspace(1e-6, 1e6, 61);
@@ -25,8 +26,8 @@ to an .npz file. The battery covers:
   and 800, where e^-x underflows, and `mml_sf` in the far tail, at x = 1e100,
   1e150 and 1e250;
 * `_score_block` at orders 1, 2, 3, 5 and 9;
-* `ml_matrix` on each of its branches, and the extended-precision series
-  on dense matrices;
+* `ml_matrix` on each of its branches, an 8 x 8 bidiagonal at alpha = 1.5
+  among them, and the extended-precision series on dense matrices;
 * `ph_pdf`, `ph_cdf`, `ph_frac_moment` and `mml_frac_moment`;
 * draws of `ph_sample` and `sample_pmml`, and the fit of the benchmark's
   fit-trimodal workload;
@@ -34,7 +35,9 @@ to an .npz file. The battery covers:
   and hill, byte for byte; manifest.json is left out, since it records
   times and paths.
 
-A call that raises stores its message, so a change of outcome shows too.
+A call that raises stores its message, so a change of outcome shows too;
+each side runs with -W error::RuntimeWarning, so a numpy warning is such
+an outcome.
 Every array that differs is printed with its largest relative change (or
 "bytes differ" for the CLI files); the exit code is 1 when any differs, 0
 when all are the same bits.
@@ -112,6 +115,11 @@ def _scalar_sweeps(put):
                                                          TOL))
                 put(f"{key}/complex", lambda: mlfun._ml_vec(alpha, beta, zc,
                                                             k, TOL))
+    # alpha > 1, where a point with |arg z| > (2 - alpha) pi has two poles
+    # on the principal sheet
+    for k in (0, 4, 8):
+        put(f"ml_vec/1.9/1.0/k{k}/complex",
+            lambda: mlfun._ml_vec(1.9, 1.0, zs, k, TOL))
     # more points than one slice of the contour product and of the
     # asymptotic table
     xl = -np.geomspace(1e-2, 1e6, 20_001)
@@ -196,6 +204,10 @@ def _matrices(put):
         for beta in (0.7, 1.0):
             put(f"ml_matrix/{name}/{beta}",
                 lambda: mlfun.ml_matrix(MLParams(0.7, beta), A))
+    # the Toeplitz form at alpha > 1, derivative orders 0 to 7
+    A = -2.0 * np.eye(8) + 1.5 * np.eye(8, k=1)
+    put("ml_matrix/bidiagonal8/1.5",
+        lambda: mlfun.ml_matrix(MLParams(1.5, 1.0), A))
     # the parent may still pass the unused tolerance
     series_mp = mlfun._matrix_series_mp
     extra = (TOL,) * (len(inspect.signature(series_mp).parameters) - 3)
@@ -367,7 +379,9 @@ def compare(parent, change):
 
 def _run_side(tree, dump):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", dump],
+    # as in the tests, a numpy RuntimeWarning raises, so it is an outcome
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                    os.path.abspath(__file__), "--dump", dump],
                    cwd=tree, env=env, check=True)
     with np.load(dump) as f:
         return dict(f)

@@ -17,18 +17,16 @@ The evaluator splits the complex plane into three regimes:
   node set is one kernel, _contour_sum, the fit's score block included;
   the survival of an Erlang(p) block, the orders 0 to p - 1 with weights
   u^m/m!, is one sum of its own, _survival_sum. On the exponential sector
-  _contour_pole_scalar leaves the pole z^{1/alpha} outside its contour,
-  adding _pole_term, or encloses it.
+  _contour_pole_scalar leaves each pole on the principal sheet outside its
+  contour, adding _pole_term, or encloses it.
+
+The same regimes serve every alpha in (0, 2) and order k: at alpha > 1 a
+point can have two poles (_second_pole), so a real z goes in as complex.
 
 Every (points x width) table, width a contour sum's node count or the
 asymptotic table's first 32 terms, goes in _slices of _SLICE = 4096
 elements: on 2 cores criterion 6's fit took 4x as long under default BLAS
 threading at 8192, as long as on one thread at 4096, 5-25 % more below.
-
-Only for alpha in (1, 2) do derivatives reduce to base evaluations, by the
-recursion of _recursion_deriv_vec; base values there come from alpha/2 by
-
-    E_{alpha,beta}(z) = ( E_{alpha/2,beta}(sqrt z) + E_{alpha/2,beta}(-sqrt z) ) / 2.
 """
 from __future__ import annotations
 
@@ -53,8 +51,7 @@ _SLICE = 4096  # elements (points x width) per slice: see _slices
 class MLParams:
     """Parameters of E_{alpha,beta} with an accuracy target.
 
-    alpha must lie in (0, 2), beta is any finite real (nonpositive values
-    only arise inside the derivative recursion), and accuracy_target is a
+    alpha must lie in (0, 2), beta in (0, inf), and accuracy_target is a
     relative tolerance in [1e-14, 1e-6].
     """
 
@@ -64,7 +61,7 @@ class MLParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _number(self.alpha, "alpha", "(0, 2)"))
-        object.__setattr__(self, "beta", _number(self.beta, "beta"))
+        object.__setattr__(self, "beta", _number(self.beta, "beta", "(0, inf)"))
         object.__setattr__(self, "accuracy_target", _number(
             self.accuracy_target, "accuracy_target",
             f"[{ACCURACY_MIN}, {ACCURACY_MAX}]"))
@@ -203,13 +200,14 @@ def _asymp_vec(alpha, beta, z, k, tol, nmax=350):
 
     Returns (values, relerr): relerr[i] is the self-reported attainable
     relative error at z[i] (np.inf where unusable); on the exponential
-    sector the values add _pole_term. The terms are summed in blocks: the
-    first 32 for every point, then, for the points that neither converged
-    nor reached their optimal truncation (three consecutive growing terms),
-    a block twice as long, up to nmax terms. Terms whose reciprocal-gamma
-    factor sits at a pole dip are added to the sum but excluded from the
-    truncation bookkeeping. Each point has its own column of the table,
-    which goes in _slices. The values have the dtype of z, real or complex.
+    sector the values add the _pole_term of each pole on the principal
+    sheet, two where _second_pole finds one. The terms are summed in
+    blocks: the first 32 for every point, then, for the points that neither
+    converged nor reached their optimal truncation (three consecutive
+    growing terms), a block twice as long, up to nmax terms. Terms whose
+    reciprocal-gamma factor sits at a pole dip are added to the sum but
+    excluded from the truncation bookkeeping. Each point has its own column
+    of the table, which goes in _slices. The values have the dtype of z.
     """
     z = np.asarray(z)
     zin = 1.0 / z
@@ -231,6 +229,9 @@ def _asymp_vec(alpha, beta, z, k, tol, nmax=350):
     if sector.any():
         w = np.where(sector, z, 1.0) ** (1.0 / alpha)
         vals = np.where(sector, vals + _pole_term(alpha, beta, w, k), vals)
+        i, w2 = _second_pole(alpha, z, w)
+        if i.size:
+            vals[i] += _pole_term(alpha, beta, w2, k)
         err = np.where(sector,
                        err * np.abs(snap) / (np.abs(vals) + 1e-300), err)
     return vals, err
@@ -369,7 +370,8 @@ def _contour_offpole_vec(alpha, beta, z, k, tol):
 
 
 def _deriv_coeffs(alpha, beta, k):
-    """Coefficients c_j^(k) of the recursion of _recursion_deriv_vec."""
+    """Coefficients c_j^(k) of the polynomial in w of _pole_term, from
+    c_j^(k) = (1 - beta - alpha (k - 1) + j) c_j^(k-1) + c_{j-1}^(k-1)."""
     c = np.array([1.0])
     for kk in range(1, k + 1):
         nxt = np.zeros(kk + 1)
@@ -383,10 +385,9 @@ def _deriv_coeffs(alpha, beta, k):
 
 
 def _pole_term(alpha, beta, w, k):
-    """d^k/dz^k of the residue (1/alpha) w^{1-beta} e^w at the pole w =
-    z^{1/alpha}: alpha^-(k+1) w^{1-beta-k alpha} e^w sum_j c_j w^j, c from
-    _deriv_coeffs, as the residues of E_{alpha,beta-j} obey the recursion;
-    nothing cancels. Raises EvaluationError at Re w > 690: e^w overflows."""
+    """d^k/dz^k of the residue (1/alpha) w^{1-beta} e^w at a pole w, w^alpha
+    = z: alpha^-(k+1) w^{1-beta-k alpha} e^w sum_j c_j w^j, c from
+    _deriv_coeffs. Raises EvaluationError at Re w > 690: e^w overflows."""
     if np.any(w.real > 690.0):
         raise EvaluationError("Mittag-Leffler overflow")
     c = _deriv_coeffs(alpha, beta, k)
@@ -394,32 +395,61 @@ def _pole_term(alpha, beta, w, k):
             * np.polyval(c[::-1], w) / alpha ** k)
 
 
+def _second_pole(alpha, z, w):
+    """(i, w2): the indices i of the points of z with a second pole on the
+    principal sheet, |arg z| > (2 - alpha) pi, so only at alpha > 1, and
+    that pole, w2 = w e^{-2 pi i sgn(arg z)/alpha} with w = z^{1/alpha}."""
+    th = np.angle(z)
+    i = np.nonzero(np.abs(th) > (2.0 - alpha) * np.pi)[0]
+    return i, w[i] * np.exp(-2j * np.pi / alpha * np.sign(th[i]))
+
+
 def _contour_pole_scalar(alpha, beta, z, k, tol):
     """Contour for every point of a call on the exponential sector (a name
     bench/tracer.py wraps, counting one point per call).
 
-    phi = (Re w + |w|)/2 parametrizes the parabola through the pole w. Where
-    phi > t, or phi > t/4 and phi |w| >= 4 (t = 1, or 2 from k = 8), the
-    parabola mu = 2^floor(log2(phi/4)) <= 1 passes left of w, a unit or more
-    from its image, and _pole_term adds the residue. Elsewhere it encloses w
-    at mu = 2^ceil(log2(4 phi)) >= 1, half a unit or more away, on a quarter
-    strip: a residue near the cut, or of a high order, cancels against the
-    nodes near it. The strip is also halved at k = 1 and 8, and the nodes
+    phi = (Re w + |w|)/2 parametrizes the parabola through a pole w: hi for
+    w = z^{1/alpha}, lo for a second pole (never at a smaller |arg|), or hi.
+    Where hi > t, or hi > t/4 and hi |w| >= 4 (t = 1, or 2 from k = 8), mu =
+    2^floor(log2(lo/4)) <= 1 (2^-8 at lo < 2^-10) passes left of the poles,
+    a unit or more from their images, or where lo fails that test, mu =
+    2^ceil(log2(4 lo)) >= 1 encloses lo alone if 4 mu <= hi. Elsewhere mu =
+    2^ceil(log2(4 hi)) >= 1 encloses both: a residue near the cut, or of a
+    high order, cancels against the nodes near it. From k = 4 (|w| <= 5)
+    and k = 8 (|w| <= 8) mu = 2^round(log2(alpha (k + 1))), at least 8, or
+    16 past |w| = 5, encloses the poles, near where e^mu / |mu^alpha -
+    z|^(k+1) is least. Each pole with phi > mu adds its _pole_term. A set
+    enclosing one has a quarter strip; all halve at k = 1 and 8. The nodes
     reach |s| >= 2|w|, past where the powered denominator peaks.
     """
     real = not np.iscomplexobj(z)
     w = z ** (1.0 / alpha)
     aw = np.abs(w)
+    i, w2 = _second_pole(alpha, z, w)
     phi = (w.real + aw) / 2.0
+    lo = phi.copy()
+    lo[i] = (w2.real + aw[i]) / 2.0
     t = 2.0 if k >= 8 else 1.0
-    res = (phi > t) | ((phi > t / 4.0) & (phi * aw >= 4.0))
-    out = np.zeros_like(z)
-    out[res] = _pole_term(alpha, beta, w[res], k)
+    res = [(p > t) | ((p > t / 4.0) & (p * aw >= 4.0)) for p in (lo, phi)]
     with np.errstate(divide="ignore"):
-        lg = np.log2(4.0 * phi)
-    # one row per node set: mu, negated where no residue is added, and reach
-    sets = np.stack((np.where(res, np.exp2(np.minimum(np.floor(lg) - 4, 0)),
-                              -np.exp2(np.maximum(np.ceil(lg), 0))),
+        lg, hg = np.log2(4.0 * lo), np.log2(4.0 * phi)
+    mu = np.where(lo < 2.0 ** -10, 2.0 ** -8,
+                  np.exp2(np.minimum(np.floor(lg) - 4, 0)))
+    inner = np.exp2(np.maximum(np.ceil(lg), 0))
+    mu = np.where(~res[0] & (4.0 * inner <= phi), inner, mu)
+    mu = np.where(res[1], mu, np.exp2(np.maximum(np.ceil(hg), 0)))
+    del lg, hg, inner, res
+    if k >= 4:
+        top = max(8.0, 2.0 ** round(math.log2(alpha * (k + 1))))
+        mu = np.where(aw <= 5.0, top,
+                      np.where((aw <= 8.0) & (k >= 8), max(top, 16.0), mu))
+    out = np.zeros_like(z)
+    out[phi > mu] = _pole_term(alpha, beta, w[phi > mu], k)
+    if i.size:
+        two = lo[i] > mu[i]
+        out[i[two]] += _pole_term(alpha, beta, w2[two], k)
+    # one row per node set: mu, negated where it encloses a pole, and reach
+    sets = np.stack((np.where(lo > mu, mu, -mu),
                      np.exp2(np.ceil(np.log2(np.maximum(2.0 * aw, 32.0))))),
                     axis=1)
     for m, r in np.unique(sets, axis=0):
@@ -434,35 +464,20 @@ def _contour_pole_scalar(alpha, beta, z, k, tol):
 # ---------------------------------------------------------------------------
 # scalar/vector evaluation core
 
-def _recursion_deriv_vec(alpha, beta, z, k, tol):
-    """E^(k)(z) = (alpha z)^-k sum_j c_j^(k) E_{alpha,beta-j}(z): the path at
-    alpha in (1, 2), k > 0. Its terms cancel, missing the target from k = 4."""
-    z = np.asarray(z)
-    c = _deriv_coeffs(alpha, beta, k)
-    acc = np.zeros_like(z)
-    for j in range(k + 1):
-        if c[j] != 0.0:
-            acc += c[j] * _ml_vec(alpha, beta - j, z, 0, tol)
-    return acc / (alpha ** k * z ** k)
-
-
 def _ml_vec(alpha, beta, z, k, tol):
     """k-th derivative of E_{alpha,beta} on an array of arguments.
 
-    Real in, real out: a real array stays float64 through every regime,
-    and a complex one is evaluated in complex128. Each point goes to the
-    first regime that certifies it: the series for |z| <= 1; for alpha > 1
-    and k > 0, the recursion; the algebraic expansion for |z| beyond the
-    asymptotic threshold; then the off-pole contour, or on the exponential
-    sector, at every k, the sector contour.
+    Real in, real out: a real array stays float64 through every regime at
+    alpha <= 1; at alpha > 1, where a real z < 0 has two poles, it is
+    evaluated as complex and its real part returned. Each point goes to the
+    first regime that certifies it, at every alpha and k: the series for
+    |z| <= 1; the algebraic expansion beyond the asymptotic threshold; then
+    the off-pole contour, or on the exponential sector the sector contour.
     """
     real = not np.iscomplexobj(z)
     z = np.asarray(z, dtype=float if real else complex)
-    if k == 0 and alpha > 1.0:
-        w = np.sqrt(z.astype(complex))
-        v = 0.5 * (_ml_vec(alpha / 2.0, beta, w, 0, tol)
-                   + _ml_vec(alpha / 2.0, beta, -w, 0, tol))
-        return v.real if real else v
+    if real and alpha > 1.0:
+        return _ml_vec(alpha, beta, z.astype(complex), k, tol).real
     if alpha == 1.0 and beta == 1.0:
         return np.exp(z)
     out = np.empty_like(z)
@@ -478,9 +493,6 @@ def _ml_vec(alpha, beta, z, k, tol):
         out[idx] = vals[ok]
         todo[idx] = False
 
-    if alpha > 1.0:
-        out[todo] = _recursion_deriv_vec(alpha, beta, z[todo], k, tol)
-        return out
     attempt = np.nonzero(todo & (az >= _asymp_threshold(alpha, tol)))[0]
     if attempt.size:
         vals, err = _asymp_vec(alpha, beta, z[attempt], k, tol)
@@ -519,8 +531,6 @@ def ml_deriv(params: MLParams, z, k: int):
     Accepts scalars or arrays like ml_eval.
     """
     k = _integer(k, "derivative order", f"[0, {MAX_DERIV}]")
-    if params.beta <= 0.0:
-        raise ValidationError("beta must be positive for direct evaluation")
     za = np.asarray(z)
     if za.dtype.kind not in "iufc":
         raise ValidationError("argument must be a number or a numeric array")
@@ -677,8 +687,6 @@ def ml_matrix(params: MLParams, A) -> np.ndarray:
     it saw, sum_k max|t_k| / max|E|, needs one; above 350 digits it raises
     EvaluationError.
     """
-    if params.beta <= 0.0:
-        raise ValidationError("beta must be positive for direct evaluation")
     A = _array(A, "matrix argument", 2)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("matrix argument must be square")

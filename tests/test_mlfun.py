@@ -220,6 +220,13 @@ def test_exponential_sector_matches_oracle(alpha):
         # past the asymptotic threshold, where the expansion adds the pole
         # term; at |z| = 20 the oracle's series took 7.5 s
         cases += [(k, 10.0 * np.exp(0.3j * 0.5 * np.pi), 1.0) for k in (1, 4, 8)]
+    if alpha >= 0.9:
+        # high orders near the origin, where a residue would cancel against
+        # the nodes: the contour encloses the pole at mu = 16 for these
+        # alpha (k + 1)
+        cases += [(k, r * np.exp(1j * f * alpha * np.pi), 1.0)
+                  for k in (12, 16) for r in (1.02, 1.5, 3.0)
+                  for f in (0.3, 0.8, 0.9, 0.95)]
     for k, z, beta in cases:
         got = ml_deriv(MLParams(alpha, beta), z, k)
         ref = complex(ml_ref(alpha, beta, complex(z), k))
@@ -235,6 +242,28 @@ def test_exponential_sector_matches_oracle(alpha):
                 out = ml_matrix(MLParams(0.9, beta), A)
                 ref = ml_matrix_series(0.9, beta, A, 60)
                 assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.4, 1.8, 1.95])
+def test_alpha_above_one_matches_oracle(alpha):
+    # every point has a pole on the principal sheet, and one with |arg z| >
+    # (2 - alpha) pi a second: the expansion and the sector contour add the
+    # residue of each, and a real z is evaluated as complex. beta alternates
+    # over the grid to hold the oracle's time down
+    from oracles import ml_ref
+
+    far = 1.3 * _asymp_threshold(alpha, 1e-12)
+    grid = [r * np.exp(1j * f * np.pi) for r in (1.02, 3.0, 8.0, 20.0)
+            for f in (0.0, 0.3, 0.6, 0.9, 1.0)]
+    grid += [s * r for r in (1.02, 3.0, 8.0, 20.0) for s in (1.0, -1.0)]
+    grid += [far * np.exp(1j * f * np.pi) for f in (0.0, 0.5, 1.0)]
+    for k in (0, 1, 4, 8):
+        for i, z in enumerate(grid):
+            beta = (1.0, alpha)[(i + k) % 2]
+            got = ml_deriv(MLParams(alpha, beta), z, k)
+            assert isinstance(got, float) == isinstance(z, float)
+            ref = complex(ml_ref(alpha, beta, complex(z), k))
+            assert _rel(got, ref) < 1e-12, (k, z, beta)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
@@ -527,6 +556,19 @@ def test_matrix_bidiagonal_coefficient_overflow_raises():
         ml_matrix(MLParams(0.7, 1.0), A)
 
 
+def test_matrix_bidiagonal_alpha_above_one():
+    # the Toeplitz form takes E^(s)(a) to s = 7 at alpha = 1.5, where each
+    # order goes through the same regimes as at alpha <= 1
+    from oracles import ml_matrix_shifted_nilpotent
+
+    N = 1.5 * np.eye(8, k=1)
+    for a in (-0.5, -2.0, -6.0, 3.0):
+        A = a * np.eye(8) + N
+        out = ml_matrix(MLParams(1.5, 1.0), A)
+        ref = ml_matrix_shifted_nilpotent(1.5, 1.0, a, N)
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref)), a
+
+
 def test_matrix_block_structure():
     B1 = np.array([[-2.0, 1.0], [0.5, -3.0]])
     B2 = np.array([[-1.0]])
@@ -776,6 +818,10 @@ def test_params_validation():
         MLParams(2.0, 1.0)
     with pytest.raises(ValidationError):
         MLParams(0.5, np.inf)
+    with pytest.raises(ValidationError):
+        MLParams(0.5, 0.0)
+    with pytest.raises(ValidationError):
+        MLParams(0.5, -1.0)
     with pytest.raises(ValidationError):
         MLParams(0.5, 1.0, accuracy_target=1e-3)
     with pytest.raises(ValidationError):
